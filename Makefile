@@ -45,6 +45,12 @@ ci: fmt
 	@# counters exactly on the affine workloads (sgemm fully exact,
 	@# spmv's direct sites exact); writes BENCH_analysis_mem.json.
 	dune exec bench/main.exe -- analysis-mem
+	@# Benchmark correctness gate: one short run of every perfbench
+	@# workload must match perfbench/golden.json op for op (run.sh
+	@# exits non-zero on any mismatch). Correctness only: the timings
+	@# it prints are not checked.
+	bash perfbench/run.sh --workload all --seed 1 --seconds 1 --trace 0 > /dev/null \
+	  || { echo "ci: perfbench ops diverged from perfbench/golden.json"; exit 1; }
 	@# Compare smoke test: two identical runs must diff clean (exit 0).
 	@tmp=$$(mktemp -d); \
 	dune exec bin/sassi_run.exe -- run parboil/sgemm --variant small \

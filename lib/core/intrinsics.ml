@@ -32,85 +32,84 @@ let global ctx = ctx.Hctx.device.Gpu.State.d_global
 
 let stats ctx = ctx.Hctx.sm.Gpu.State.sm_stats
 
-let mem_cost ctx ~pairs ~atomic =
+let mem_cost ctx ~addrs ~width ~atomic =
   let dev = ctx.Hctx.device in
+  let access =
+    if atomic then Gpu.Memsys.atomic_access else Gpu.Memsys.global_access
+  in
   let r =
-    if atomic then
-      Gpu.Memsys.atomic_access dev.Gpu.State.d_mem
-        ~sm:ctx.Hctx.sm.Gpu.State.sm_id ~stats:(stats ctx) pairs
-    else
-      Gpu.Memsys.global_access dev.Gpu.State.d_mem
-        ~sm:ctx.Hctx.sm.Gpu.State.sm_id ~stats:(stats ctx) pairs
+    access dev.Gpu.State.d_mem ~sm:ctx.Hctx.sm.Gpu.State.sm_id
+      ~stats:(stats ctx) ~width addrs (Array.length addrs)
   in
   Hctx.charge ctx ~ops:1 ~cycles:r.Gpu.Memsys.latency
 
 let read_u32 ctx addr =
-  mem_cost ctx ~pairs:[ (addr, 4) ] ~atomic:false;
+  mem_cost ctx ~addrs:[| addr |] ~width:4 ~atomic:false;
   Gpu.Memory.read (global ctx) ~width:Sass.Opcode.W32 addr
 
 let write_u32 ctx addr v =
-  mem_cost ctx ~pairs:[ (addr, 4) ] ~atomic:false;
+  mem_cost ctx ~addrs:[| addr |] ~width:4 ~atomic:false;
   Gpu.Memory.write (global ctx) ~width:Sass.Opcode.W32 addr v
 
 let read_u64 ctx addr =
-  mem_cost ctx ~pairs:[ (addr, 8) ] ~atomic:false;
+  mem_cost ctx ~addrs:[| addr |] ~width:8 ~atomic:false;
   Gpu.Memory.read_u64 (global ctx) addr
 
 let write_u64 ctx addr v =
-  mem_cost ctx ~pairs:[ (addr, 8) ] ~atomic:false;
+  mem_cost ctx ~addrs:[| addr |] ~width:8 ~atomic:false;
   Gpu.Memory.write_u64 (global ctx) addr v
 
 let atomic_add_u64 ctx addr v =
-  mem_cost ctx ~pairs:[ (addr, 8) ] ~atomic:true;
+  mem_cost ctx ~addrs:[| addr |] ~width:8 ~atomic:true;
   let m = global ctx in
   Gpu.Memory.write_u64 m addr (Gpu.Memory.read_u64 m addr + v)
 
 let atomic_add_u32 ctx addr v =
-  mem_cost ctx ~pairs:[ (addr, 4) ] ~atomic:true;
+  mem_cost ctx ~addrs:[| addr |] ~width:4 ~atomic:true;
   let m = global ctx in
   let old = Gpu.Memory.read m ~width:Sass.Opcode.W32 addr in
   Gpu.Memory.write m ~width:Sass.Opcode.W32 addr (Gpu.Value.add old v);
   old
 
 let atomic_and_u32 ctx addr v =
-  mem_cost ctx ~pairs:[ (addr, 4) ] ~atomic:true;
+  mem_cost ctx ~addrs:[| addr |] ~width:4 ~atomic:true;
   let m = global ctx in
   let old = Gpu.Memory.read m ~width:Sass.Opcode.W32 addr in
   Gpu.Memory.write m ~width:Sass.Opcode.W32 addr (old land v)
 
 let atomic_or_u32 ctx addr v =
-  mem_cost ctx ~pairs:[ (addr, 4) ] ~atomic:true;
+  mem_cost ctx ~addrs:[| addr |] ~width:4 ~atomic:true;
   let m = global ctx in
   let old = Gpu.Memory.read m ~width:Sass.Opcode.W32 addr in
   Gpu.Memory.write m ~width:Sass.Opcode.W32 addr (old lor v)
 
 let atomic_cas_u32 ctx addr ~compare ~swap =
-  mem_cost ctx ~pairs:[ (addr, 4) ] ~atomic:true;
+  mem_cost ctx ~addrs:[| addr |] ~width:4 ~atomic:true;
   let m = global ctx in
   let old = Gpu.Memory.read m ~width:Sass.Opcode.W32 addr in
   if old = compare then Gpu.Memory.write m ~width:Sass.Opcode.W32 addr swap;
   old
 
-let per_lane generic ctx f ~bytes ~apply =
+let per_lane ctx f ~bytes ~apply =
   let lanes = Hctx.active_lanes ctx in
   let results = List.map f lanes in
-  let pairs = List.map (fun (addr, _) -> (addr, bytes)) results in
-  if pairs <> [] then generic ctx ~pairs ~atomic:true;
+  let addrs = Array.of_list (List.map fst results) in
+  if addrs <> [||] then mem_cost ctx ~addrs ~width:bytes ~atomic:true;
   List.iter apply results
 
 let per_lane_atomic_add_u64 ctx f =
-  per_lane mem_cost ctx f ~bytes:8 ~apply:(fun (addr, v) ->
+  per_lane ctx f ~bytes:8 ~apply:(fun (addr, v) ->
       let m = global ctx in
       Gpu.Memory.write_u64 m addr (Gpu.Memory.read_u64 m addr + v))
 
 let per_lane_atomic_and_u32 ctx f =
-  per_lane mem_cost ctx f ~bytes:4 ~apply:(fun (addr, v) ->
+  per_lane ctx f ~bytes:4 ~apply:(fun (addr, v) ->
       let m = global ctx in
       let old = Gpu.Memory.read m ~width:Sass.Opcode.W32 addr in
       Gpu.Memory.write m ~width:Sass.Opcode.W32 addr (old land v))
 
 let per_lane_atomic_or_u32 ctx f =
-  per_lane mem_cost ctx f ~bytes:4 ~apply:(fun (addr, v) ->
+  per_lane ctx f ~bytes:4 ~apply:(fun (addr, v) ->
       let m = global ctx in
       let old = Gpu.Memory.read m ~width:Sass.Opcode.W32 addr in
       Gpu.Memory.write m ~width:Sass.Opcode.W32 addr (old lor v))

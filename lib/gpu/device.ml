@@ -32,6 +32,7 @@ let create ?(cfg = Config.default) ?domains () =
     d_transform = None;
     d_transform_gen = 0;
     d_kernel_cache = Hashtbl.create 16;
+    d_decoded = Hashtbl.create 16;
     d_launch_cbs = [];
     d_exit_cbs = [];
     d_cb_next = 0;
@@ -204,15 +205,18 @@ let transformed_kernel t kernel =
        Hashtbl.replace t.d_kernel_cache key k;
        k)
 
-let launch t ~kernel ~grid ~block ~args =
-  Obs.Tracer.with_span ~cat:"launch"
-    ~attrs:
-      [ ("kernel", Obs.Span.Str kernel.Sass.Program.name);
-        ("grid", Obs.Span.Str (Printf.sprintf "%dx%d" (fst grid) (snd grid)));
-        ("block", Obs.Span.Str (Printf.sprintf "%dx%d" (fst block) (snd block)))
-      ]
-    ("launch:" ^ kernel.Sass.Program.name)
-  @@ fun () ->
+(* Decoded once per physical post-transform kernel: a new transform
+   yields new kernels, which miss here and replace the entry. *)
+let decoded t (kernel : Sass.Program.kernel) =
+  let name = kernel.Sass.Program.name in
+  match Hashtbl.find_opt t.d_decoded name with
+  | Some code when code.Decoded.kernel == kernel -> code
+  | _ ->
+    let code = Decoded.decode kernel in
+    Hashtbl.replace t.d_decoded name code;
+    code
+
+let run_launch t ~kernel ~grid ~block ~args =
   let kernel = transformed_kernel t kernel in
   let gx, gy = grid in
   let bx, by = block in
@@ -240,6 +244,7 @@ let launch t ~kernel ~grid ~block ~args =
   let launch =
     { l_device = t;
       l_kernel = kernel;
+      l_code = decoded t kernel;
       l_grid_x = gx;
       l_grid_y = gy;
       l_block_x = bx;
@@ -278,6 +283,19 @@ let launch t ~kernel ~grid ~block ~args =
      t.d_trace_base <- t.d_trace_base + cycles
    | None -> ());
   launch.l_stats
+
+let launch t ~kernel ~grid ~block ~args =
+  (* Span attributes are built only when someone records them. *)
+  if Obs.Tracer.is_enabled () then
+    Obs.Tracer.with_span ~cat:"launch"
+      ~attrs:
+        [ ("kernel", Obs.Span.Str kernel.Sass.Program.name);
+          ("grid", Obs.Span.Str (Printf.sprintf "%dx%d" (fst grid) (snd grid)));
+          ("block",
+           Obs.Span.Str (Printf.sprintf "%dx%d" (fst block) (snd block))) ]
+      ("launch:" ^ kernel.Sass.Program.name)
+      (fun () -> run_launch t ~kernel ~grid ~block ~args)
+  else run_launch t ~kernel ~grid ~block ~args
 
 let invocation_count t name =
   match Hashtbl.find_opt t.d_invocations name with

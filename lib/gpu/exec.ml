@@ -1,23 +1,11 @@
 open Sass
 open State
+module D = Decoded
 
-let iter_lanes mask f =
-  for lane = 0 to warp_size - 1 do
-    if mask land (1 lsl lane) <> 0 then f lane
-  done
-
-let fold_lanes mask f acc =
-  let acc = ref acc in
-  for lane = 0 to warp_size - 1 do
-    if mask land (1 lsl lane) <> 0 then acc := f !acc lane
-  done;
-  !acc
-
-let src_value launch w ~lane = function
-  | Instr.SReg r -> reg_get w ~lane r
-  | Instr.SImm i -> i land Value.mask
-  | Instr.SParam off -> Memory.read launch.l_params ~width:Opcode.W32 off
-  | Instr.SPred p -> if pred_get w ~lane p then 1 else 0
+(* The interpreter runs over {!Decoded} records: every index is
+   pre-resolved and checked against the register stride at decode
+   time, so the lane loops below use unchecked array accesses, and
+   nothing on the path of an ordinary instruction allocates. *)
 
 let special_value sm w ~lane = function
   | Opcode.Sr_tid_x -> tid_x w ~lane
@@ -64,43 +52,225 @@ let warp_exit w exiting =
     release_barrier_if_ready blk
   end
 
-(* --- Memory access helpers -------------------------------------------- *)
+(* Reconvergence: pop entries whose PC reached their RPC. *)
+let rec reconverge w =
+  match w.w_stack with
+  | e :: rest when e.e_rpc >= 0 && e.e_pc = e.e_rpc ->
+    w.w_stack <- rest;
+    reconverge w
+  | _ -> ()
 
-let frame_bytes w = w.w_block.b_launch.l_kernel.Program.frame_bytes
+(* --- Operands ------------------------------------------------------------ *)
 
-(* Synthetic interleaved physical address so that same-offset accesses
-   from the 32 lanes of a warp coalesce perfectly, as hardware local
-   memory does. *)
-let local_phys w ~lane addr =
-  let launch = w.w_block.b_launch in
-  let warps_per_block =
-    (launch.l_block_x * launch.l_block_y + warp_size - 1) / warp_size
-  in
-  let warp_uid = (w.w_block.b_flat * warps_per_block) + w.w_id in
-  Memsys.local_window
-  + (warp_uid * frame_bytes w * warp_size)
-  + (addr * warp_size) + (lane * 4)
+(* The lane-invariant value of an operand, read once per instruction. *)
+let uniform launch = function
+  | D.Imm v -> v
+  | D.Param off -> Memory.read launch.l_params ~width:Opcode.W32 off
+  | D.Reg _ | D.Zero | D.Pred _ -> 0
 
-let texture_read launch ~width idx =
-  let dev = launch.l_device in
-  match dev.d_texture with
+(* A lane's value of an operand whose uniform value is [u]. *)
+let[@inline] value w ~stride ~lane o u =
+  match o with
+  | D.Reg r -> Array.unsafe_get w.w_regs ((lane * stride) + r)
+  | D.Pred p -> (Array.unsafe_get w.w_preds p lsr lane) land 1
+  | D.Imm _ | D.Param _ | D.Zero -> u
+
+let[@inline] set_reg w ~stride ~lane d v =
+  Array.unsafe_set w.w_regs ((lane * stride) + d) (v land Value.mask)
+
+(* Predicate [p] takes [bits] in the lanes of [mask]. *)
+let[@inline] set_pred_lanes w p ~mask bits =
+  w.w_preds.(p) <- w.w_preds.(p) land lnot mask lor (bits land mask)
+
+let[@inline] active mask lane = mask land (1 lsl lane) <> 0
+
+let guard_mask w (d : D.instr) mask =
+  let pm = w.w_preds.(d.D.guard) in
+  if d.D.guard_neg then mask land lnot pm else mask land pm
+
+(* --- Arithmetic ---------------------------------------------------------- *)
+
+(* [op] is one of the opcodes that decode to [Decoded.Alu]. *)
+let alu (op : Opcode.t) a b c =
+  match op with
+  | Opcode.MOV -> a
+  | Opcode.BREV -> Value.brev a
+  | Opcode.POPC -> Value.popc a
+  | Opcode.FLO -> Value.flo a
+  | Opcode.MUFU f -> Value.mufu f a
+  | Opcode.I2F sign -> Value.i2f ~sign a
+  | Opcode.F2I sign -> Value.f2i ~sign a
+  | Opcode.IADD -> Value.add a b
+  | Opcode.ISUB -> Value.sub a b
+  | Opcode.IMUL -> Value.mul a b
+  | Opcode.IDIV sign -> Value.div ~sign a b
+  | Opcode.IMOD sign -> Value.rem ~sign a b
+  | Opcode.IMNMX cmp -> Value.min_max ~cmp a b
+  | Opcode.SHL -> Value.shl a b
+  | Opcode.SHR sign -> Value.shr ~sign a b
+  | Opcode.LOP l -> Value.logic l a b
+  | Opcode.FADD -> Value.fadd a b
+  | Opcode.FSUB -> Value.fsub a b
+  | Opcode.FMUL -> Value.fmul a b
+  | Opcode.FMNMX cmp -> Value.fmin_max ~cmp a b
+  | Opcode.IMAD -> Value.mad a b c
+  | Opcode.FFMA -> Value.ffma a b c
+  | _ -> assert false
+
+let exec_alu w ~stride launch (d : D.instr) mask =
+  let s0 = d.D.s0 and s1 = d.D.s1 and s2 = d.D.s2 in
+  let u0 = uniform launch s0
+  and u1 = uniform launch s1
+  and u2 = uniform launch s2 in
+  for lane = 0 to warp_size - 1 do
+    if active mask lane then
+      set_reg w ~stride ~lane d.D.d0
+        (alu d.D.op
+           (value w ~stride ~lane s0 u0)
+           (value w ~stride ~lane s1 u1)
+           (value w ~stride ~lane s2 u2))
+  done
+
+(* [op] is [ISETP] or [FSETP]. *)
+let compare (op : Opcode.t) a b =
+  match op with
+  | Opcode.ISETP (cmp, sign) -> Value.compare_int ~cmp ~sign a b
+  | Opcode.FSETP cmp -> Value.compare_f32 ~cmp a b
+  | _ -> assert false
+
+let exec_setp w ~stride launch (d : D.instr) mask =
+  let p = d.D.p0 in
+  if p >= 0 then begin
+    let s0 = d.D.s0 and s1 = d.D.s1 in
+    let u0 = uniform launch s0 and u1 = uniform launch s1 in
+    let bits = ref 0 in
+    for lane = 0 to warp_size - 1 do
+      if active mask lane then begin
+        let a = value w ~stride ~lane s0 u0
+        and b = value w ~stride ~lane s1 u1 in
+        if compare d.D.op a b then bits := !bits lor (1 lsl lane)
+      end
+    done;
+    set_pred_lanes w p ~mask !bits
+  end
+
+let exec_data sm w ~stride launch (d : D.instr) mask =
+  let s0 = d.D.s0 and s1 = d.D.s1 in
+  let u0 = uniform launch s0 and u1 = uniform launch s1 in
+  match d.D.arm with
+  | D.Sel ->
+    let s2 = d.D.s2 in
+    let u2 = uniform launch s2 in
+    for lane = 0 to warp_size - 1 do
+      if active mask lane then
+        set_reg w ~stride ~lane d.D.d0
+          (if value w ~stride ~lane s2 u2 <> 0 then value w ~stride ~lane s0 u0
+           else value w ~stride ~lane s1 u1)
+    done
+  | D.S2r sr ->
+    for lane = 0 to warp_size - 1 do
+      if active mask lane then
+        set_reg w ~stride ~lane d.D.d0 (special_value sm w ~lane sr)
+    done
+  | D.P2r ->
+    for lane = 0 to warp_size - 1 do
+      if active mask lane then begin
+        let bits = ref 0 in
+        for j = 0 to 6 do
+          bits := !bits lor (((w.w_preds.(j) lsr lane) land 1) lsl j)
+        done;
+        set_reg w ~stride ~lane d.D.d0 !bits
+      end
+    done
+  | D.R2p ->
+    for lane = 0 to warp_size - 1 do
+      if active mask lane then begin
+        let bits = value w ~stride ~lane s0 u0 in
+        for j = 0 to 6 do
+          set_pred_lanes w j ~mask:(1 lsl lane) ((bits lsr j) lsl lane)
+        done
+      end
+    done
+  | D.Psetp logic ->
+    let p = d.D.p0 in
+    if p >= 0 then begin
+      let bits = ref 0 in
+      for lane = 0 to warp_size - 1 do
+        if active mask lane then begin
+          let a = value w ~stride ~lane s0 u0 <> 0
+          and b = value w ~stride ~lane s1 u1 <> 0 in
+          if
+            match logic with
+            | Opcode.L_and -> a && b
+            | Opcode.L_or -> a || b
+            | Opcode.L_xor -> a <> b
+            | Opcode.L_not -> not a
+          then bits := !bits lor (1 lsl lane)
+        end
+      done;
+      set_pred_lanes w p ~mask !bits
+    end
+  | D.Vote { mode; to_pred } ->
+    let ballot = ref 0 in
+    for lane = 0 to warp_size - 1 do
+      if active mask lane && value w ~stride ~lane s0 u0 <> 0 then
+        ballot := !ballot lor (1 lsl lane)
+    done;
+    let ballot = !ballot in
+    let r =
+      match mode with
+      | Opcode.V_ballot -> ballot
+      | Opcode.V_any -> if ballot <> 0 then 1 else 0
+      | Opcode.V_all -> if ballot = mask then 1 else 0
+    in
+    if not to_pred then
+      for lane = 0 to warp_size - 1 do
+        if active mask lane then set_reg w ~stride ~lane d.D.d0 r
+      done
+    else if d.D.p0 >= 0 then
+      set_pred_lanes w d.D.p0 ~mask (if r <> 0 then full_mask else 0)
+  | D.Shfl mode ->
+    (* Read all source values first: dst may alias src. *)
+    let values = sm.sm_addrs in
+    for lane = 0 to warp_size - 1 do
+      if active mask lane then values.(lane) <- value w ~stride ~lane s0 u0
+    done;
+    for lane = 0 to warp_size - 1 do
+      if active mask lane then begin
+        let b = value w ~stride ~lane s1 u1 in
+        let target =
+          match mode with
+          | Opcode.S_idx -> b land 31
+          | Opcode.S_up -> lane - b
+          | Opcode.S_down -> lane + b
+          | Opcode.S_bfly -> lane lxor b
+        in
+        set_reg w ~stride ~lane d.D.d0
+          (if target < 0 || target >= warp_size || not (active mask target)
+           then values.(lane)
+           else values.(target))
+      end
+    done
+  | _ -> assert false
+
+(* --- Memory -------------------------------------------------------------- *)
+
+(* Byte address of texture element [idx] (clamp addressing mode;
+   coordinates are signed). *)
+let texture_addr launch ~bytes idx =
+  match launch.l_device.d_texture with
   | None ->
     raise (Trap.Memory_fault
              { space = Opcode.Tex; addr = idx; kind = Trap.Out_of_bounds })
-  | Some (base, bytes) ->
-    let elt = Opcode.bytes_of_width width in
-    let n = bytes / elt in
-    (* Texture clamp addressing mode; coordinates are signed. *)
+  | Some (base, size) ->
+    let n = size / bytes in
     let idx = Value.signed idx in
     let idx = if idx < 0 then 0 else if idx >= n then n - 1 else idx in
-    let addr = base + (idx * elt) in
-    (Memory.read dev.d_global ~width addr, addr)
-
-(* --- Activity tracing -------------------------------------------------- *)
+    base + (idx * bytes)
 
 (* One warp-level memory transaction record; the [None] branch is the
    whole cost when tracing is off. *)
-let trace_mem dev sm w ~space ~write ~width ~lanes (r : Memsys.result) =
+let trace_mem dev sm w ~space ~write ~bytes ~lanes (r : Memsys.result) =
   match sm.sm_tracer with
   | None -> ()
   | Some c ->
@@ -112,43 +282,360 @@ let trace_mem dev sm w ~space ~write ~width ~lanes (r : Memsys.result) =
            (Trace.Record.Mem_access
               { space;
                 write;
-                bytes = Opcode.bytes_of_width width;
+                bytes;
                 lanes;
                 transactions = r.Memsys.transactions }))
 
+let atomic_value aop ~width ~old ~operand ~swap =
+  match aop with
+  | Opcode.A_add ->
+    (match width with
+     | Opcode.W64 -> old + operand
+     | _ -> Value.add old operand)
+  | Opcode.A_min -> Value.min_max ~cmp:Opcode.Lt old operand
+  | Opcode.A_max -> Value.min_max ~cmp:Opcode.Gt old operand
+  | Opcode.A_exch -> operand
+  | Opcode.A_cas -> if old = operand then swap else old
+  | Opcode.A_and -> old land operand
+  | Opcode.A_or -> old lor operand
+  | Opcode.A_xor -> old lxor operand
+
+(* Timing of the memory instruction [d] whose [n] lanes' physical
+   addresses are packed in [sm_addrs]; returns its latency. *)
+let mem_timing sm w (d : D.instr) ~same_offset n =
+  let dev = w.w_block.b_launch.l_device in
+  let mem = dev.d_mem and stats = sm.sm_stats and addrs = sm.sm_addrs in
+  let bytes = d.D.bytes in
+  let sm_id = sm.sm_id in
+  let r =
+    match d.D.arm with
+    | D.Ld_global | D.St_global | D.Tld ->
+      Memsys.global_access mem ~sm:sm_id ~stats ~width:bytes addrs n
+    | D.Ld_local | D.St_local ->
+      if same_offset then
+        (* Same frame offset in every lane: the interleaved physical
+           addresses form one contiguous run. *)
+        Memsys.contiguous_access mem ~sm:sm_id ~stats ~first_phys:addrs.(0)
+          ~last_phys:addrs.(n - 1) ~width:4
+      else Memsys.global_access mem ~sm:sm_id ~stats ~width:4 addrs n
+    | D.Atom { global = true; _ } ->
+      Memsys.atomic_access mem ~sm:sm_id ~stats ~width:bytes addrs n
+    | _ -> Memsys.shared_access mem ~sm:sm_id ~stats addrs n
+  in
+  let requested = n * bytes and tr = r.Memsys.transactions in
+  (match d.D.arm with
+   | D.Ld_global ->
+     stats.Stats.gld_requested_bytes <-
+       stats.Stats.gld_requested_bytes + requested;
+     stats.Stats.gld_transactions <- stats.Stats.gld_transactions + tr
+   | D.St_global ->
+     stats.Stats.gst_requested_bytes <-
+       stats.Stats.gst_requested_bytes + requested;
+     stats.Stats.gst_transactions <- stats.Stats.gst_transactions + tr
+   | _ -> ());
+  let space =
+    match d.D.arm with
+    | D.Ld_global | D.St_global | D.Atom { global = true; _ } ->
+      Trace.Record.Sp_global
+    | D.Ld_local | D.St_local -> Trace.Record.Sp_local
+    | D.Tld -> Trace.Record.Sp_texture
+    | _ -> Trace.Record.Sp_shared
+  in
+  let write =
+    match d.D.arm with
+    | D.Ld_global | D.Ld_shared | D.Ld_local | D.Tld -> false
+    | _ -> true
+  in
+  trace_mem dev sm w ~space ~write ~bytes ~lanes:n r;
+  match d.D.arm with
+  | D.Atom _ -> r.Memsys.latency + dev.d_cfg.Config.lat_atomic
+  | _ -> r.Memsys.latency
+
+(* Runs one memory instruction and returns its latency. Each lane's
+   effective address (base + offset) is computed once, before that
+   lane's destination write, and packed in lane order into
+   [sm_addrs] for the timing model: the coalescer and bank model see
+   the addresses even when a destination register aliases the
+   base. *)
+let exec_mem sm w ~stride launch (d : D.instr) mask =
+  let dev = launch.l_device in
+  let cfg = dev.d_cfg in
+  let addrs = sm.sm_addrs in
+  let s0 = d.D.s0 and s1 = d.D.s1 and s2 = d.D.s2 and s3 = d.D.s3 in
+  let u0 = uniform launch s0
+  and u1 = uniform launch s1
+  and u2 = uniform launch s2
+  and u3 = uniform launch s3 in
+  let width = d.D.width and bytes = d.D.bytes in
+  let d0 = d.D.d0 in
+  let n = ref 0 in
+  let same_offset = ref true in
+  (match d.D.arm with
+   | D.Ld_global | D.St_global | D.Ld_shared | D.St_shared | D.Ld_param ->
+     let m =
+       match d.D.arm with
+       | D.Ld_global | D.St_global -> dev.d_global
+       | D.Ld_shared | D.St_shared -> w.w_block.b_shared
+       | _ -> launch.l_params
+     in
+     let load =
+       match d.D.arm with
+       | D.Ld_global | D.Ld_shared | D.Ld_param -> true
+       | _ -> false
+     in
+     (* 64-bit global accesses move a register pair. *)
+     let pair = width = Opcode.W64 && m == dev.d_global in
+     for lane = 0 to warp_size - 1 do
+       if active mask lane then begin
+         let a =
+           Value.wrap
+             (value w ~stride ~lane s0 u0 + value w ~stride ~lane s1 u1)
+         in
+         addrs.(!n) <- a;
+         incr n;
+         if load then
+           if pair then begin
+             set_reg w ~stride ~lane d0 (Memory.read m ~width:Opcode.W32 a);
+             set_reg w ~stride ~lane d.D.d1
+               (Memory.read m ~width:Opcode.W32 (a + 4))
+           end
+           else set_reg w ~stride ~lane d0 (Memory.read m ~width a)
+         else begin
+           let v = value w ~stride ~lane s2 u2 in
+           if pair then begin
+             Memory.write m ~width:Opcode.W32 a v;
+             Memory.write m ~width:Opcode.W32 (a + 4)
+               (value w ~stride ~lane s3 u3)
+           end
+           else Memory.write m ~width a v
+         end
+       end
+     done
+   | D.Ld_local | D.St_local ->
+     let load = match d.D.arm with D.Ld_local -> true | _ -> false in
+     let frame = launch.l_kernel.Program.frame_bytes in
+     (* Synthetic interleaved physical addresses: lane [l]'s frame
+        offset [a] sits at [base + a * 32 + l * 4], so same-offset
+        accesses from the 32 lanes of a warp coalesce perfectly, as
+        hardware local memory does. *)
+     let base = Memsys.local_window + (warp_uid w * frame * warp_size) in
+     let first = ref (-1) in
+     for lane = 0 to warp_size - 1 do
+       if active mask lane then begin
+         let a =
+           Value.wrap
+             (value w ~stride ~lane s0 u0 + value w ~stride ~lane s1 u1)
+         in
+         if !first < 0 then first := a
+         else if a <> !first then same_offset := false;
+         if a < 0 || a >= frame then
+           raise (Trap.Memory_fault
+                    { space = Opcode.Local; addr = a;
+                      kind = Trap.Out_of_bounds });
+         addrs.(!n) <- base + (a * warp_size) + (lane * 4);
+         incr n;
+         let slot = (lane * frame) + a in
+         if load then
+           set_reg w ~stride ~lane d0 (Memory.read w.w_local ~width slot)
+         else Memory.write w.w_local ~width slot (value w ~stride ~lane s2 u2)
+       end
+     done
+   | D.Ld_tex | D.Tld ->
+     (* [TLD.64] fills a register pair; [LD] from the texture space
+        reads its width into one register. *)
+     let pair =
+       match (d.D.arm, width) with
+       | D.Tld, Opcode.W64 -> true
+       | _ -> false
+     in
+     for lane = 0 to warp_size - 1 do
+       if active mask lane then begin
+         let a = texture_addr launch ~bytes (value w ~stride ~lane s0 u0) in
+         addrs.(!n) <- Memsys.texture_window + a;
+         incr n;
+         let v = Memory.read dev.d_global ~width a in
+         set_reg w ~stride ~lane d0 v;
+         if pair then set_reg w ~stride ~lane d.D.d1 (v lsr 32)
+       end
+     done
+   | D.Atom { global; aop; ret } ->
+     let m = if global then dev.d_global else w.w_block.b_shared in
+     for lane = 0 to warp_size - 1 do
+       if active mask lane then begin
+         let a =
+           Value.wrap
+             (value w ~stride ~lane s0 u0 + value w ~stride ~lane s1 u1)
+         in
+         addrs.(!n) <- a;
+         incr n;
+         let old = Memory.read m ~width a in
+         Memory.write m ~width a
+           (atomic_value aop ~width ~old
+              ~operand:(value w ~stride ~lane s2 u2)
+              ~swap:(value w ~stride ~lane s3 u3));
+         if ret then set_reg w ~stride ~lane d0 old
+       end
+     done
+   | _ -> assert false);
+  match d.D.arm with
+  | D.Ld_param -> cfg.Config.lat_alu
+  (* Texture loads through [LD] cost one L1 hit and bypass the cache
+     model. *)
+  | D.Ld_tex -> cfg.Config.lat_l1
+  | _ ->
+    if !n = 0 then cfg.Config.lat_alu
+    else mem_timing sm w d ~same_offset:!same_offset !n
+
+(* --- Control --------------------------------------------------------------- *)
+
+let branch sm w e (d : D.instr) ~pc mask =
+  let stats = sm.sm_stats in
+  if d.D.unguarded then d.D.target
+  else begin
+    stats.Stats.branches <- stats.Stats.branches + 1;
+    (match sm.sm_telemetry with
+     | None -> ()
+     | Some tm -> Telemetry.Hist.observe tm.tm_branch_lanes (popc_mask mask));
+    let taken = mask in
+    let not_taken = e.e_mask land lnot mask in
+    if taken = 0 then pc + 1
+    else if not_taken = 0 then d.D.target
+    else begin
+      (* Divergence: split the warp. *)
+      stats.Stats.divergent_branches <- stats.Stats.divergent_branches + 1;
+      (match sm.sm_telemetry with
+       | None -> ()
+       | Some tm ->
+         Telemetry.Hist.observe tm.tm_divergent_taken_lanes
+           (popc_mask taken));
+      let rpc = d.D.reconv in
+      let rest =
+        match w.w_stack with
+        | _ :: r -> r
+        | [] -> []
+      in
+      let cont =
+        if rpc >= 0 then
+          [ { e_pc = rpc; e_rpc = e.e_rpc; e_mask = e.e_mask } ]
+        else []
+      in
+      let nt_entry = { e_pc = pc + 1; e_rpc = rpc; e_mask = not_taken } in
+      let t_entry = { e_pc = d.D.target; e_rpc = rpc; e_mask = taken } in
+      w.w_stack <- (t_entry :: nt_entry :: cont) @ rest;
+      -2 (* stack already updated *)
+    end
+  end
+
+let barrier sm w ~pc =
+  let dev = w.w_block.b_launch.l_device in
+  w.w_status <- W_barrier;
+  (* Stamp the arrival cycle: if the barrier releases, each
+     released warp's stamp gives its stall duration. The stamp is
+     never earlier than the warp's previous ready time, so
+     scheduling is unchanged whether or not tracing is on. *)
+  w.w_ready_at <- sm.sm_cycle;
+  w.w_block.b_arrived <- w.w_block.b_arrived + 1;
+  (match sm.sm_tracer with
+   | Some c when Trace.Collector.wants c Trace.Record.Warp ->
+     Trace.Collector.emit c
+       (Trace.Record.make
+          ~cycle:(dev.d_trace_base + sm.sm_cycle)
+          ~sm:sm.sm_id ~warp:(warp_uid w)
+          (Trace.Record.Warp_barrier
+             { pc; arrived = w.w_block.b_arrived }))
+   | _ -> ());
+  release_barrier_if_ready w.w_block;
+  (match sm.sm_telemetry with
+   | Some tm when w.w_status = W_ready ->
+     (* The barrier released: every warp of the block now ready was
+        waiting since its own arrival stamp (0 for the releaser). *)
+     Array.iter
+       (fun w' ->
+          if w'.w_status = W_ready then
+            Telemetry.Hist.observe tm.tm_barrier_wait
+              (sm.sm_cycle - w'.w_ready_at))
+       w.w_block.b_warps
+   | _ -> ());
+  match sm.sm_tracer with
+  | Some c
+    when w.w_status = W_ready && Trace.Collector.wants c Trace.Record.Warp ->
+    (* The barrier released in this step: every warp of the block
+       now ready was stalled since its own arrival stamp. *)
+    Array.iter
+      (fun w' ->
+         if w'.w_status = W_ready && sm.sm_cycle > w'.w_ready_at then
+           Trace.Collector.emit c
+             (Trace.Record.make
+                ~cycle:(dev.d_trace_base + w'.w_ready_at)
+                ~sm:sm.sm_id ~warp:(warp_uid w')
+                (Trace.Record.Warp_stall
+                   { reason = Trace.Record.Stall_barrier;
+                     cycles = sm.sm_cycle - w'.w_ready_at })))
+      w.w_block.b_warps
+  | _ -> ()
+
+let hcall sm w ~id ~pc mask =
+  let launch = w.w_block.b_launch in
+  let dev = launch.l_device in
+  let stats = sm.sm_stats in
+  stats.Stats.hcalls <- stats.Stats.hcalls + 1;
+  match dev.d_hcall with
+  | None ->
+    raise (Trap.Device_assert "HCALL executed with no SASSI runtime installed")
+  | Some hook ->
+    w.w_sassi_scratch <- 0;
+    hook
+      { h_launch = launch;
+        h_sm = sm;
+        h_warp = w;
+        h_handler = id;
+        h_pc = pc;
+        h_mask = mask };
+    (* Device-API operations performed by the handler charged
+       their cycle cost into the warp's scratch accumulator. *)
+    let charged = w.w_sassi_scratch in
+    w.w_sassi_scratch <- 0;
+    (2 * dev.d_cfg.Config.lat_alu) + charged
+
 (* --- The main dispatch ------------------------------------------------- *)
 
+let trace_issue dev sm w (d : D.instr) ~pc ~nactive ~latency c =
+  if Trace.Collector.wants c Trace.Record.Warp then begin
+    let cycle = dev.d_trace_base + sm.sm_cycle in
+    let uid = warp_uid w in
+    Trace.Collector.emit c
+      (Trace.Record.make ~cycle ~sm:sm.sm_id ~warp:uid
+         (Trace.Record.Warp_issue
+            { pc; op = Opcode.to_string d.D.op; active = nactive }));
+    (* Anything beyond the baseline ALU latency keeps the warp out
+       of the issue pool: record it as a stall span. *)
+    if latency > dev.d_cfg.Config.lat_alu then
+      Trace.Collector.emit c
+        (Trace.Record.make ~cycle ~sm:sm.sm_id ~warp:uid
+           (Trace.Record.Warp_stall
+              { reason =
+                  (if d.D.is_mem then Trace.Record.Stall_memory
+                   else Trace.Record.Stall_exec);
+                cycles = latency }))
+  end
+
 let step sm w =
-  (* Reconvergence: pop entries whose PC reached their RPC. *)
-  let rec reconverge () =
-    match w.w_stack with
-    | e :: rest when e.e_rpc >= 0 && e.e_pc = e.e_rpc ->
-      w.w_stack <- rest;
-      reconverge ()
-    | _ -> ()
-  in
-  reconverge ();
+  reconverge w;
   let e = tos w in
   let launch = w.w_block.b_launch in
   let dev = launch.l_device in
   let cfg = dev.d_cfg in
-  let stats = sm.sm_stats in
+  let code = launch.l_code in
+  let stride = code.D.stride in
   let pc = e.e_pc in
-  let instrs = launch.l_kernel.Program.instrs in
-  if pc < 0 || pc >= Array.length instrs then
+  if pc < 0 || pc >= Array.length code.D.code then
     raise (Trap.Memory_fault
              { space = Opcode.Global; addr = pc;
                kind = Trap.Invalid_instruction });
-  let i = instrs.(pc) in
-  let exec_mask =
-    fold_lanes e.e_mask
-      (fun acc lane ->
-         if guard_passes w ~lane i.Instr.guard then acc lor (1 lsl lane)
-         else acc)
-      0
-  in
-  let nactive = Value.popc exec_mask in
-  Stats.count_instr stats i.Instr.op ~active_lanes:nactive;
+  let d = Array.unsafe_get code.D.code pc in
+  let mask = if d.D.unguarded then e.e_mask else guard_mask w d e.e_mask in
+  let nactive = popc_mask mask in
+  Stats.count sm.sm_stats ~cls:d.D.cls ~active_lanes:nactive;
   (match sm.sm_tracer with
    | Some _ ->
      (* Stamp this SM's context attached to L1/L2 probe records
@@ -157,615 +644,73 @@ let step sm w =
        ~cycle:(dev.d_trace_base + sm.sm_cycle)
        ~warp:(warp_uid w)
    | None -> ());
-  let latency = ref cfg.Config.lat_alu in
+  let lat_alu = cfg.Config.lat_alu in
+  (* [next_pc] -2: control flow already rewrote the stack. *)
   let next_pc = ref (pc + 1) in
-  let sv lane s = src_value launch w ~lane s in
-  let dst1 () =
-    match i.Instr.dsts with
-    | d :: _ -> d
-    | [] -> invalid_arg "Exec: missing destination"
+  let latency =
+    match d.D.arm with
+    | D.Alu ->
+      exec_alu w ~stride launch d mask;
+      (match d.D.op with
+       | Opcode.IDIV _ | Opcode.IMOD _ -> cfg.Config.lat_mufu * 2
+       | Opcode.MUFU _ -> cfg.Config.lat_mufu
+       | _ -> lat_alu)
+    | D.Setp ->
+      exec_setp w ~stride launch d mask;
+      lat_alu
+    | D.Sel | D.S2r _ | D.P2r | D.R2p | D.Psetp _ | D.Vote _ | D.Shfl _ ->
+      exec_data sm w ~stride launch d mask;
+      lat_alu
+    | D.Ld_global | D.Ld_shared | D.Ld_local | D.Ld_param | D.Ld_tex
+    | D.St_global | D.St_shared | D.St_local | D.Atom _ | D.Tld ->
+      exec_mem sm w ~stride launch d mask
+    | D.Nop -> lat_alu
+    | D.Bra ->
+      next_pc := branch sm w e d ~pc mask;
+      lat_alu
+    | D.Cal ->
+      w.w_call_stack <- (pc + 1) :: w.w_call_stack;
+      next_pc := d.D.target;
+      lat_alu
+    | D.Ret ->
+      (match w.w_call_stack with
+       | ret :: rest ->
+         w.w_call_stack <- rest;
+         next_pc := ret
+       | [] ->
+         (* RET at kernel top level exits, like PTX. *)
+         warp_exit w mask;
+         if w.w_stack = [] then next_pc := -2);
+      lat_alu
+    | D.Exit ->
+      if mask <> 0 then begin
+        warp_exit w mask;
+        (* If some lanes remain (guarded EXIT), execution continues. *)
+        if w.w_stack = [] then next_pc := -2
+      end;
+      lat_alu
+    | D.Bar ->
+      barrier sm w ~pc;
+      lat_alu
+    | D.Hcall id -> hcall sm w ~id ~pc mask
+    | D.Fault space ->
+      raise (Trap.Memory_fault
+               { space; addr = 0; kind = Trap.Invalid_instruction })
+    | D.Invalid msg -> invalid_arg msg
   in
-  let src n =
-    match List.nth_opt i.Instr.srcs n with
-    | Some s -> s
-    | None -> invalid_arg "Exec: missing source operand"
-  in
-  (* Hoist operand decoding out of the 32-lane loops: uniform operands
-     (immediates, constant-bank reads) are evaluated once. *)
-  let evaluator s =
-    match s with
-    | Instr.SImm v ->
-      let v = v land Value.mask in
-      fun _ -> v
-    | Instr.SParam off ->
-      let v = Memory.read launch.l_params ~width:Opcode.W32 off in
-      fun _ -> v
-    | Instr.SReg r -> fun lane -> reg_get w ~lane r
-    | Instr.SPred p -> fun lane -> if pred_get w ~lane p then 1 else 0
-  in
-  let unop f =
-    let d = dst1 () in
-    let e0 = evaluator (src 0) in
-    iter_lanes exec_mask (fun lane -> reg_set w ~lane d (f (e0 lane)))
-  in
-  let binop f =
-    let d = dst1 () in
-    let e0 = evaluator (src 0) in
-    let e1 = evaluator (src 1) in
-    iter_lanes exec_mask (fun lane ->
-        reg_set w ~lane d (f (e0 lane) (e1 lane)))
-  in
-  let ternop f =
-    let d = dst1 () in
-    let e0 = evaluator (src 0) in
-    let e1 = evaluator (src 1) in
-    let e2 = evaluator (src 2) in
-    iter_lanes exec_mask (fun lane ->
-        reg_set w ~lane d (f (e0 lane) (e1 lane) (e2 lane)))
-  in
-  let setp f =
-    let p =
-      match i.Instr.pdsts with
-      | p :: _ -> p
-      | [] -> invalid_arg "Exec: SETP without predicate destination"
-    in
-    let e0 = evaluator (src 0) in
-    let e1 = evaluator (src 1) in
-    iter_lanes exec_mask (fun lane ->
-        pred_set w ~lane p (f (e0 lane) (e1 lane)))
-  in
-  (* Effective address for memory ops: src0 + src1. *)
-  let eff_addr =
-    lazy
-      (let e0 = evaluator (src 0) in
-       let e1 = evaluator (src 1) in
-       fun lane -> Value.wrap (e0 lane + e1 lane))
-  in
-  let eff_addr lane = Lazy.force eff_addr lane in
-  let mem_pairs width =
-    fold_lanes exec_mask
-      (fun acc lane -> (eff_addr lane, Opcode.bytes_of_width width) :: acc)
-      []
-  in
-  (match i.Instr.op with
-   | Opcode.IADD -> binop Value.add
-   | Opcode.ISUB -> binop Value.sub
-   | Opcode.IMUL -> binop Value.mul
-   | Opcode.IMAD -> ternop Value.mad
-   | Opcode.IDIV sign ->
-     latency := cfg.Config.lat_mufu * 2;
-     binop (Value.div ~sign)
-   | Opcode.IMOD sign ->
-     latency := cfg.Config.lat_mufu * 2;
-     binop (Value.rem ~sign)
-   | Opcode.IMNMX cmp -> binop (Value.min_max ~cmp)
-   | Opcode.SHL -> binop Value.shl
-   | Opcode.SHR sign -> binop (Value.shr ~sign)
-   | Opcode.LOP logic -> binop (Value.logic logic)
-   | Opcode.BREV -> unop Value.brev
-   | Opcode.POPC -> unop Value.popc
-   | Opcode.FLO -> unop Value.flo
-   | Opcode.ISETP (cmp, sign) -> setp (Value.compare_int ~cmp ~sign)
-   | Opcode.FADD -> binop Value.fadd
-   | Opcode.FSUB -> binop Value.fsub
-   | Opcode.FMUL -> binop Value.fmul
-   | Opcode.FFMA -> ternop Value.ffma
-   | Opcode.FMNMX cmp -> binop (Value.fmin_max ~cmp)
-   | Opcode.MUFU f ->
-     latency := cfg.Config.lat_mufu;
-     unop (Value.mufu f)
-   | Opcode.FSETP cmp -> setp (Value.compare_f32 ~cmp)
-   | Opcode.I2F sign -> unop (Value.i2f ~sign)
-   | Opcode.F2I sign -> unop (Value.f2i ~sign)
-   | Opcode.MOV -> unop (fun v -> v)
-   | Opcode.SEL ->
-     iter_lanes exec_mask (fun lane ->
-         let c = sv lane (src 2) <> 0 in
-         reg_set w ~lane (dst1 ())
-           (if c then sv lane (src 0) else sv lane (src 1)))
-   | Opcode.S2R sr ->
-     iter_lanes exec_mask (fun lane ->
-         reg_set w ~lane (dst1 ()) (special_value sm w ~lane sr))
-   | Opcode.P2R ->
-     iter_lanes exec_mask (fun lane ->
-         let bits =
-           List.fold_left
-             (fun acc j ->
-                if pred_get w ~lane (Pred.p j) then acc lor (1 lsl j) else acc)
-             0 [ 0; 1; 2; 3; 4; 5; 6 ]
-         in
-         reg_set w ~lane (dst1 ()) bits)
-   | Opcode.R2P ->
-     iter_lanes exec_mask (fun lane ->
-         let bits = sv lane (src 0) in
-         List.iter
-           (fun j -> pred_set w ~lane (Pred.p j) (bits land (1 lsl j) <> 0))
-           [ 0; 1; 2; 3; 4; 5; 6 ])
-   | Opcode.PSETP logic ->
-     let p =
-       match i.Instr.pdsts with
-       | p :: _ -> p
-       | [] -> invalid_arg "Exec: PSETP without predicate destination"
-     in
-     iter_lanes exec_mask (fun lane ->
-         let a = sv lane (src 0) <> 0 in
-         let b =
-           match List.nth_opt i.Instr.srcs 1 with
-           | Some s -> sv lane s <> 0
-           | None -> false
-         in
-         let r =
-           match logic with
-           | Opcode.L_and -> a && b
-           | Opcode.L_or -> a || b
-           | Opcode.L_xor -> a <> b
-           | Opcode.L_not -> not a
-         in
-         pred_set w ~lane p r)
-   | Opcode.LD (space, width) ->
-     (match space with
-      | Opcode.Global ->
-        iter_lanes exec_mask (fun lane ->
-            let addr = eff_addr lane in
-            match width with
-            | Opcode.W64 ->
-              (match i.Instr.dsts with
-               | [ lo; hi ] ->
-                 reg_set w ~lane lo
-                   (Memory.read dev.d_global ~width:Opcode.W32 addr);
-                 reg_set w ~lane hi
-                   (Memory.read dev.d_global ~width:Opcode.W32 (addr + 4))
-               | _ -> invalid_arg "Exec: LD.64 needs a register pair")
-            | _ -> reg_set w ~lane (dst1 ()) (Memory.read dev.d_global ~width addr));
-        if nactive > 0 then begin
-          let r =
-            Memsys.global_access dev.d_mem ~sm:sm.sm_id ~stats
-              (mem_pairs width)
-          in
-          stats.Stats.gld_requested_bytes <-
-            stats.Stats.gld_requested_bytes
-            + (nactive * Opcode.bytes_of_width width);
-          stats.Stats.gld_transactions <-
-            stats.Stats.gld_transactions + r.Memsys.transactions;
-          trace_mem dev sm w ~space:Trace.Record.Sp_global ~write:false
-            ~width ~lanes:nactive r;
-          latency := r.Memsys.latency
-        end
-      | Opcode.Shared ->
-        iter_lanes exec_mask (fun lane ->
-            let addr = eff_addr lane in
-            reg_set w ~lane (dst1 ())
-              (Memory.read w.w_block.b_shared ~width addr));
-        if nactive > 0 then begin
-          let addrs = fold_lanes exec_mask (fun a l -> eff_addr l :: a) [] in
-          let r = Memsys.shared_access dev.d_mem ~sm:sm.sm_id ~stats addrs in
-          trace_mem dev sm w ~space:Trace.Record.Sp_shared ~write:false
-            ~width ~lanes:nactive r;
-          latency := r.Memsys.latency
-        end
-      | Opcode.Local ->
-        let uniform = ref true in
-        let addr0 = ref (-1) in
-        let frame = frame_bytes w in
-        let d = dst1 () in
-        iter_lanes exec_mask (fun lane ->
-            let addr = eff_addr lane in
-            if !addr0 < 0 then addr0 := addr
-            else if addr <> !addr0 then uniform := false;
-            if addr < 0 || addr >= frame then
-              raise (Trap.Memory_fault
-                       { space = Opcode.Local; addr; kind = Trap.Out_of_bounds });
-            reg_set w ~lane d
-              (Memory.read w.w_local ~width ((lane * frame) + addr)));
-        if nactive > 0 then begin
-          let r =
-            if !uniform then begin
-              (* Same frame offset in every lane: the interleaved
-                 physical addresses form one contiguous run. *)
-              let first = Value.ffs exec_mask - 1 in
-              let last = Value.flo exec_mask in
-              Memsys.contiguous_access dev.d_mem ~sm:sm.sm_id ~stats
-                ~first_phys:(local_phys w ~lane:first !addr0)
-                ~last_phys:(local_phys w ~lane:last !addr0)
-                ~width:4
-            end
-            else
-              Memsys.global_access dev.d_mem ~sm:sm.sm_id ~stats
-                (fold_lanes exec_mask
-                   (fun a lane -> (local_phys w ~lane (eff_addr lane), 4) :: a)
-                   [])
-          in
-          trace_mem dev sm w ~space:Trace.Record.Sp_local ~write:false
-            ~width ~lanes:nactive r;
-          latency := r.Memsys.latency
-        end
-      | Opcode.Param ->
-        iter_lanes exec_mask (fun lane ->
-            reg_set w ~lane (dst1 ())
-              (Memory.read launch.l_params ~width (eff_addr lane)))
-      | Opcode.Tex ->
-        iter_lanes exec_mask (fun lane ->
-            let v, _ = texture_read launch ~width (sv lane (src 0)) in
-            reg_set w ~lane (dst1 ()) v);
-        latency := cfg.Config.lat_l1)
-   | Opcode.ST (space, width) ->
-     let ev0 = evaluator (src 2) in
-     let ev1 =
-       match List.nth_opt i.Instr.srcs 3 with
-       | Some s -> evaluator s
-       | None -> fun _ -> 0
-     in
-     let value_src lane k = if k = 0 then ev0 lane else ev1 lane in
-     (match space with
-      | Opcode.Global ->
-        iter_lanes exec_mask (fun lane ->
-            let addr = eff_addr lane in
-            match width with
-            | Opcode.W64 ->
-              Memory.write dev.d_global ~width:Opcode.W32 addr
-                (value_src lane 0);
-              Memory.write dev.d_global ~width:Opcode.W32 (addr + 4)
-                (value_src lane 1)
-            | _ -> Memory.write dev.d_global ~width addr (value_src lane 0));
-        if nactive > 0 then begin
-          let r =
-            Memsys.global_access dev.d_mem ~sm:sm.sm_id ~stats
-              (mem_pairs width)
-          in
-          stats.Stats.gst_requested_bytes <-
-            stats.Stats.gst_requested_bytes
-            + (nactive * Opcode.bytes_of_width width);
-          stats.Stats.gst_transactions <-
-            stats.Stats.gst_transactions + r.Memsys.transactions;
-          trace_mem dev sm w ~space:Trace.Record.Sp_global ~write:true
-            ~width ~lanes:nactive r;
-          latency := r.Memsys.latency
-        end
-      | Opcode.Shared ->
-        iter_lanes exec_mask (fun lane ->
-            Memory.write w.w_block.b_shared ~width (eff_addr lane)
-              (value_src lane 0));
-        if nactive > 0 then begin
-          let addrs = fold_lanes exec_mask (fun a l -> eff_addr l :: a) [] in
-          let r = Memsys.shared_access dev.d_mem ~sm:sm.sm_id ~stats addrs in
-          trace_mem dev sm w ~space:Trace.Record.Sp_shared ~write:true
-            ~width ~lanes:nactive r;
-          latency := r.Memsys.latency
-        end
-      | Opcode.Local ->
-        let uniform = ref true in
-        let addr0 = ref (-1) in
-        let frame = frame_bytes w in
-        iter_lanes exec_mask (fun lane ->
-            let addr = eff_addr lane in
-            if !addr0 < 0 then addr0 := addr
-            else if addr <> !addr0 then uniform := false;
-            if addr < 0 || addr >= frame then
-              raise (Trap.Memory_fault
-                       { space = Opcode.Local; addr; kind = Trap.Out_of_bounds });
-            Memory.write w.w_local ~width ((lane * frame) + addr)
-              (value_src lane 0));
-        if nactive > 0 then begin
-          let r =
-            if !uniform then begin
-              let first = Value.ffs exec_mask - 1 in
-              let last = Value.flo exec_mask in
-              Memsys.contiguous_access dev.d_mem ~sm:sm.sm_id ~stats
-                ~first_phys:(local_phys w ~lane:first !addr0)
-                ~last_phys:(local_phys w ~lane:last !addr0)
-                ~width:4
-            end
-            else
-              Memsys.global_access dev.d_mem ~sm:sm.sm_id ~stats
-                (fold_lanes exec_mask
-                   (fun a lane -> (local_phys w ~lane (eff_addr lane), 4) :: a)
-                   [])
-          in
-          trace_mem dev sm w ~space:Trace.Record.Sp_local ~write:true
-            ~width ~lanes:nactive r;
-          latency := r.Memsys.latency
-        end
-      | Opcode.Param | Opcode.Tex ->
-        raise (Trap.Memory_fault
-                 { space; addr = 0; kind = Trap.Invalid_instruction }))
-   | Opcode.ATOM (space, aop, width) | Opcode.RED (space, aop, width) ->
-     let has_dst =
-       match i.Instr.op with
-       | Opcode.ATOM _ -> true
-       | _ -> false
-     in
-     let mem_of_space =
-       match space with
-       | Opcode.Global -> dev.d_global
-       | Opcode.Shared -> w.w_block.b_shared
-       | Opcode.Local | Opcode.Param | Opcode.Tex ->
-         raise (Trap.Memory_fault
-                  { space; addr = 0; kind = Trap.Invalid_instruction })
-     in
-     iter_lanes exec_mask (fun lane ->
-         let addr = eff_addr lane in
-         let old = Memory.read mem_of_space ~width addr in
-         let operand = sv lane (src 2) in
-         let nv =
-           match aop with
-           | Opcode.A_add ->
-             (match width with
-              | Opcode.W64 -> old + operand
-              | _ -> Value.add old operand)
-           | Opcode.A_min -> Value.min_max ~cmp:Opcode.Lt old operand
-           | Opcode.A_max -> Value.min_max ~cmp:Opcode.Gt old operand
-           | Opcode.A_exch -> operand
-           | Opcode.A_cas ->
-             let swap = sv lane (src 3) in
-             if old = operand then swap else old
-           | Opcode.A_and -> old land operand
-           | Opcode.A_or -> old lor operand
-           | Opcode.A_xor -> old lxor operand
-         in
-         Memory.write mem_of_space ~width addr nv;
-         if has_dst then reg_set w ~lane (dst1 ()) old);
-     if nactive > 0 then begin
-       let r =
-         match space with
-         | Opcode.Global ->
-           Memsys.atomic_access dev.d_mem ~sm:sm.sm_id ~stats
-             (mem_pairs width)
-         | _ ->
-           let addrs = fold_lanes exec_mask (fun a l -> eff_addr l :: a) [] in
-           Memsys.shared_access dev.d_mem ~sm:sm.sm_id ~stats addrs
-       in
-       let tr_space =
-         match space with
-         | Opcode.Global -> Trace.Record.Sp_global
-         | _ -> Trace.Record.Sp_shared
-       in
-       trace_mem dev sm w ~space:tr_space ~write:true ~width ~lanes:nactive
-         r;
-       latency := r.Memsys.latency + cfg.Config.lat_atomic
-     end
-   | Opcode.TLD width ->
-     iter_lanes exec_mask (fun lane ->
-         let v, _ = texture_read launch ~width (sv lane (src 0)) in
-         match width with
-         | Opcode.W64 ->
-           (match i.Instr.dsts with
-            | [ lo; hi ] ->
-              reg_set w ~lane lo (v land Value.mask);
-              reg_set w ~lane hi ((v lsr 32) land Value.mask)
-            | _ -> invalid_arg "Exec: TLD.64 needs a register pair")
-         | _ -> reg_set w ~lane (dst1 ()) v);
-     if nactive > 0 then begin
-       let pairs =
-         fold_lanes exec_mask
-           (fun a lane ->
-              let _, addr = texture_read launch ~width (sv lane (src 0)) in
-              (Memsys.texture_window + addr, Opcode.bytes_of_width width)
-              :: a)
-           []
-       in
-       let r = Memsys.global_access dev.d_mem ~sm:sm.sm_id ~stats pairs in
-       trace_mem dev sm w ~space:Trace.Record.Sp_texture ~write:false ~width
-         ~lanes:nactive r;
-       latency := r.Memsys.latency
-     end
-   | Opcode.MEMBAR -> ()
-   | Opcode.VOTE mode ->
-     let ballot =
-       fold_lanes exec_mask
-         (fun acc lane ->
-            if sv lane (src 0) <> 0 then acc lor (1 lsl lane) else acc)
-         0
-     in
-     (match mode with
-      | Opcode.V_ballot ->
-        iter_lanes exec_mask (fun lane -> reg_set w ~lane (dst1 ()) ballot)
-      | Opcode.V_any ->
-        let r = ballot <> 0 in
-        (match i.Instr.pdsts with
-         | p :: _ -> iter_lanes exec_mask (fun lane -> pred_set w ~lane p r)
-         | [] -> iter_lanes exec_mask (fun lane ->
-             reg_set w ~lane (dst1 ()) (if r then 1 else 0)))
-      | Opcode.V_all ->
-        let r = ballot = exec_mask in
-        (match i.Instr.pdsts with
-         | p :: _ -> iter_lanes exec_mask (fun lane -> pred_set w ~lane p r)
-         | [] -> iter_lanes exec_mask (fun lane ->
-             reg_set w ~lane (dst1 ()) (if r then 1 else 0))))
-   | Opcode.SHFL mode ->
-     (* Read all source values first: dst may alias src. *)
-     let values = Array.make warp_size 0 in
-     iter_lanes exec_mask (fun lane -> values.(lane) <- sv lane (src 0));
-     iter_lanes exec_mask (fun lane ->
-         let b = sv lane (src 1) in
-         let target =
-           match mode with
-           | Opcode.S_idx -> b land 31
-           | Opcode.S_up -> lane - b
-           | Opcode.S_down -> lane + b
-           | Opcode.S_bfly -> lane lxor b
-         in
-         let v =
-           if target < 0 || target >= warp_size
-              || exec_mask land (1 lsl target) = 0
-           then values.(lane)
-           else values.(target)
-         in
-         reg_set w ~lane (dst1 ()) v)
-   | Opcode.BRA ->
-     let target =
-       match i.Instr.target with
-       | Some t -> t
-       | None -> invalid_arg "Exec: unresolved branch"
-     in
-     if Instr.is_cond_branch i then begin
-       stats.Stats.branches <- stats.Stats.branches + 1;
-       (match sm.sm_telemetry with
-        | None -> ()
-        | Some tm ->
-          Telemetry.Hist.observe tm.tm_branch_lanes (popc_mask exec_mask));
-       let taken = exec_mask in
-       let not_taken = e.e_mask land lnot exec_mask in
-       if taken = 0 then next_pc := pc + 1
-       else if not_taken = 0 then next_pc := target
-       else begin
-         (* Divergence: split the warp. *)
-         stats.Stats.divergent_branches <- stats.Stats.divergent_branches + 1;
-         (match sm.sm_telemetry with
-          | None -> ()
-          | Some tm ->
-            Telemetry.Hist.observe tm.tm_divergent_taken_lanes
-              (popc_mask taken));
-         let rpc =
-           match i.Instr.reconv with
-           | Some r -> r
-           | None -> -1
-         in
-         let rest =
-           match w.w_stack with
-           | _ :: r -> r
-           | [] -> []
-         in
-         let cont =
-           if rpc >= 0 then
-             [ { e_pc = rpc; e_rpc = e.e_rpc; e_mask = e.e_mask } ]
-           else []
-         in
-         let nt_entry = { e_pc = pc + 1; e_rpc = rpc; e_mask = not_taken } in
-         let t_entry = { e_pc = target; e_rpc = rpc; e_mask = taken } in
-         w.w_stack <- (t_entry :: nt_entry :: cont) @ rest;
-         next_pc := -2 (* stack already updated *)
-       end
-     end
-     else next_pc := target
-   | Opcode.CAL ->
-     let target =
-       match i.Instr.target with
-       | Some t -> t
-       | None -> invalid_arg "Exec: unresolved call"
-     in
-     w.w_call_stack <- (pc + 1) :: w.w_call_stack;
-     next_pc := target
-   | Opcode.RET ->
-     (match w.w_call_stack with
-      | ret :: rest ->
-        w.w_call_stack <- rest;
-        next_pc := ret
-      | [] ->
-        (* RET at kernel top level exits, like PTX. *)
-        warp_exit w exec_mask;
-        next_pc := (if w.w_stack = [] then -2 else pc + 1))
-   | Opcode.EXIT ->
-     if exec_mask <> 0 then begin
-       warp_exit w exec_mask;
-       (* If some lanes remain (guarded EXIT), execution continues. *)
-       next_pc := (if w.w_stack = [] then -2 else pc + 1)
-     end
-   | Opcode.BAR ->
-     w.w_status <- W_barrier;
-     (* Stamp the arrival cycle: if the barrier releases, each
-        released warp's stamp gives its stall duration. The stamp is
-        never earlier than the warp's previous ready time, so
-        scheduling is unchanged whether or not tracing is on. *)
-     w.w_ready_at <- sm.sm_cycle;
-     w.w_block.b_arrived <- w.w_block.b_arrived + 1;
-     (match sm.sm_tracer with
-      | Some c when Trace.Collector.wants c Trace.Record.Warp ->
-        Trace.Collector.emit c
-          (Trace.Record.make
-             ~cycle:(dev.d_trace_base + sm.sm_cycle)
-             ~sm:sm.sm_id ~warp:(warp_uid w)
-             (Trace.Record.Warp_barrier
-                { pc; arrived = w.w_block.b_arrived }))
-      | _ -> ());
-     release_barrier_if_ready w.w_block;
-     (match sm.sm_telemetry with
-      | Some tm when w.w_status = W_ready ->
-        (* The barrier released: every warp of the block now ready was
-           waiting since its own arrival stamp (0 for the releaser). *)
-        Array.iter
-          (fun w' ->
-             if w'.w_status = W_ready then
-               Telemetry.Hist.observe tm.tm_barrier_wait
-                 (sm.sm_cycle - w'.w_ready_at))
-          w.w_block.b_warps
-      | _ -> ());
-     (match sm.sm_tracer with
-      | Some c
-        when w.w_status = W_ready
-             && Trace.Collector.wants c Trace.Record.Warp ->
-        (* The barrier released in this step: every warp of the block
-           now ready was stalled since its own arrival stamp. *)
-        Array.iter
-          (fun w' ->
-             if w'.w_status = W_ready && sm.sm_cycle > w'.w_ready_at then
-               Trace.Collector.emit c
-                 (Trace.Record.make
-                    ~cycle:(dev.d_trace_base + w'.w_ready_at)
-                    ~sm:sm.sm_id ~warp:(warp_uid w')
-                    (Trace.Record.Warp_stall
-                       { reason = Trace.Record.Stall_barrier;
-                         cycles = sm.sm_cycle - w'.w_ready_at })))
-          w.w_block.b_warps
-      | _ -> ())
-   | Opcode.NOP -> ()
-   | Opcode.HCALL id ->
-     stats.Stats.hcalls <- stats.Stats.hcalls + 1;
-     latency := 2 * cfg.Config.lat_alu;
-     (match dev.d_hcall with
-      | None ->
-        raise (Trap.Device_assert
-                 "HCALL executed with no SASSI runtime installed")
-      | Some hook ->
-        w.w_sassi_scratch <- 0;
-        hook
-          { h_launch = launch;
-            h_sm = sm;
-            h_warp = w;
-            h_handler = id;
-            h_pc = pc;
-            h_mask = exec_mask };
-        (* Device-API operations performed by the handler charged
-           their cycle cost into the warp's scratch accumulator. *)
-        latency := !latency + w.w_sassi_scratch;
-        w.w_sassi_scratch <- 0));
   (* Advance the PC unless control flow already rewrote the stack. *)
-  (match !next_pc with
-   | -2 -> ()
-   | np ->
-     (match w.w_stack with
-      | entry :: _ when entry == e -> e.e_pc <- np
-      | _ -> ()));
+  (match (!next_pc, w.w_stack) with
+   | -2, _ -> ()
+   | np, entry :: _ when entry == e -> e.e_pc <- np
+   | _ -> ());
   (match sm.sm_tracer with
    | None -> ()
-   | Some c ->
-     if Trace.Collector.wants c Trace.Record.Warp then begin
-       let cycle = dev.d_trace_base + sm.sm_cycle in
-       let uid = warp_uid w in
-       Trace.Collector.emit c
-         (Trace.Record.make ~cycle ~sm:sm.sm_id ~warp:uid
-            (Trace.Record.Warp_issue
-               { pc;
-                 op = Opcode.to_string i.Instr.op;
-                 active = nactive }));
-       (* Anything beyond the baseline ALU latency keeps the warp out
-          of the issue pool: record it as a stall span. *)
-       if !latency > cfg.Config.lat_alu then
-         Trace.Collector.emit c
-           (Trace.Record.make ~cycle ~sm:sm.sm_id ~warp:uid
-              (Trace.Record.Warp_stall
-                 { reason =
-                     (if Opcode.is_mem i.Instr.op then
-                        Trace.Record.Stall_memory
-                      else Trace.Record.Stall_exec);
-                   cycles = !latency }))
-     end);
+   | Some c -> trace_issue dev sm w d ~pc ~nactive ~latency c);
   (* PC sampling: remember the latency class of this instruction so
      a sample taken while the warp waits out [latency] can attribute
      the stall (memory vs. execution dependency). Single branch when
      no sampler is installed. *)
   (match sm.sm_sampler with
    | None -> ()
-   | Some _ ->
-     w.w_stall_code <- (if Opcode.is_mem i.Instr.op then 1 else 0));
-  if w.w_status = W_ready then
-    w.w_ready_at <- sm.sm_cycle + !latency
+   | Some _ -> w.w_stall_code <- (if d.D.is_mem then 1 else 0));
+  if w.w_status = W_ready then w.w_ready_at <- sm.sm_cycle + latency

@@ -8,7 +8,9 @@
     path; an entry pops when its PC reaches its reconvergence PC. *)
 
 val step : State.sm -> State.warp -> unit
-(** Executes the instruction at the warp's current PC. Updates the
+(** Executes the instruction at the warp's current PC, from the
+    launch's {!Decoded} kernel. Allocates nothing for an ordinary
+    instruction; divergent branches, exits and handler calls may. Updates the
     warp's divergence stack, status, ready time, the SM cycle
     bookkeeping, and the launch statistics.
 

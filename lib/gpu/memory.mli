@@ -1,8 +1,16 @@
-(** Flat byte-addressed memory with little-endian multi-byte access.
-    Used for global memory, shared memory, local (stack) memory, and
-    the kernel-parameter constant bank. *)
+(** Byte-addressed memory with little-endian multi-byte access. Used
+    for global memory, shared memory, local (stack) memory, and the
+    kernel-parameter constant bank.
+
+    The store is paged: fixed-size pages are allocated on first write
+    and untouched pages read as zero, so creating a large memory (the
+    64 MiB global space) costs no zeroing. Bounds are those of the
+    size given to {!create}, whatever has been touched. *)
 
 type t
+
+val page_size : int
+(** Bytes per backing page. *)
 
 val create : space:Sass.Opcode.space -> int -> t
 (** Zero-initialized memory of the given size; [space] labels faults. *)

@@ -14,6 +14,9 @@ type slot = {
      between calls and nothing is allocated. *)
   sa_words : int array;
   sa_bank_count : int array;
+  (* global_access scratch: the sorted unique lines of one warp
+     access. *)
+  sl_lines : int array;
 }
 
 and tm_sink = {
@@ -50,6 +53,9 @@ let local_window = 1 lsl 40
 
 let texture_window = 1 lsl 41
 
+(* Most lines one access of [width] bytes can touch. *)
+let max_lines ~line_bytes width = ((width - 1) / line_bytes) + 2
+
 let create (cfg : Config.t) =
   let num_sms = cfg.Config.num_sms in
   { cfg;
@@ -72,7 +78,10 @@ let create (cfg : Config.t) =
             sl_warp = -1;
             sl_tm = None;
             sa_words = Array.make 32 0;
-            sa_bank_count = Array.make 32 0 });
+            sa_bank_count = Array.make 32 0;
+            sl_lines =
+              Array.make (32 * max_lines ~line_bytes:cfg.Config.line_bytes 8)
+                0 });
     tr_sink = None;
     tm_sink = None }
 
@@ -117,19 +126,37 @@ let trace_probe t ~sm ~level ~hit =
       (Trace.Record.make ~cycle:sl.sl_cycle ~sm ~warp:sl.sl_warp
          (Trace.Record.Cache_access { level; hit }))
 
+(* Add the lines touched by [width] bytes at [addr] to the first [k]
+   entries of [lines], kept sorted and unique; returns the new count.
+   A warp contributes at most 32 accesses, and coalesced warps touch
+   ascending lines, so scanning back from the end usually stops at
+   once and nothing is allocated. *)
+let insert_lines ~line_bytes lines k addr width =
+  let k = ref k in
+  for l = addr / line_bytes to (addr + width - 1) / line_bytes do
+    let i = ref (!k - 1) in
+    while !i >= 0 && lines.(!i) > l do
+      decr i
+    done;
+    if !i < 0 || lines.(!i) <> l then begin
+      Array.blit lines (!i + 1) lines (!i + 2) (!k - !i - 1);
+      lines.(!i + 1) <- l;
+      incr k
+    end
+  done;
+  !k
+
 let coalesce ~line_bytes pairs =
-  (* A warp contributes at most 32 accesses, so a small-list dedup
-     beats a hash table by a wide margin on this hot path. *)
-  let lines = ref [] in
-  List.iter
-    (fun (addr, width) ->
-       let first = addr / line_bytes in
-       let last = (addr + width - 1) / line_bytes in
-       for l = first to last do
-         if not (List.mem l !lines) then lines := l :: !lines
-       done)
-    pairs;
-  List.sort Int.compare !lines
+  let cap =
+    List.fold_left (fun c (_, w) -> c + max_lines ~line_bytes w) 0 pairs
+  in
+  let lines = Array.make cap 0 in
+  let k =
+    List.fold_left
+      (fun k (addr, width) -> insert_lines ~line_bytes lines k addr width)
+      0 pairs
+  in
+  Array.to_list (Array.sub lines 0 k)
 
 let line_latency t ~sm line_addr stats =
   let cfg = t.cfg in
@@ -151,19 +178,23 @@ let line_latency t ~sm line_addr stats =
        trace_probe t ~sm ~level:Trace.Record.L2 ~hit:false;
        cfg.Config.lat_dram)
 
-let global_access t ~sm ~stats pairs =
+let global_access t ~sm ~stats ~width addrs n =
   let cfg = t.cfg in
-  let lines = coalesce ~line_bytes:cfg.Config.line_bytes pairs in
-  let n = List.length lines in
-  stats.Stats.global_transactions <- stats.Stats.global_transactions + n;
-  let worst =
-    List.fold_left
-      (fun acc l ->
-         max acc (line_latency t ~sm (l * cfg.Config.line_bytes) stats))
-      0 lines
-  in
+  let lb = cfg.Config.line_bytes in
+  let lines = t.slots.(sm).sl_lines in
+  let k = ref 0 in
+  for j = 0 to n - 1 do
+    k := insert_lines ~line_bytes:lb lines !k addrs.(j) width
+  done;
+  let k = !k in
+  stats.Stats.global_transactions <- stats.Stats.global_transactions + k;
+  let worst = ref 0 in
+  for j = 0 to k - 1 do
+    let lat = line_latency t ~sm (lines.(j) * lb) stats in
+    if lat > !worst then worst := lat
+  done;
   (* Additional transactions beyond the first serialize at the L1. *)
-  let r = { transactions = n; latency = worst + (max 0 (n - 1)) * 2 } in
+  let r = { transactions = k; latency = !worst + (max 0 (k - 1)) * 2 } in
   observe_access t ~sm r;
   r
 
@@ -189,7 +220,7 @@ let contiguous_access t ~sm ~stats ~first_phys ~last_phys ~width =
   observe_access t ~sm r;
   r
 
-let shared_access t ~sm ~stats addrs =
+let shared_access t ~sm ~stats addrs n =
   let cfg = t.cfg in
   let sl = t.slots.(sm) in
   (* 32 banks, 4-byte wide; same-word accesses broadcast. The scratch
@@ -197,20 +228,19 @@ let shared_access t ~sm ~stats addrs =
      and is safe under sharding. Bank counts are left at zero between
      calls (the reset loop below), so no up-front clear is needed. *)
   let n_words = ref 0 in
-  List.iter
-    (fun addr ->
-       let word = addr / 4 in
-       let seen = ref false in
-       for i = 0 to !n_words - 1 do
-         if sl.sa_words.(i) = word then seen := true
-       done;
-       if not !seen then begin
-         sl.sa_words.(!n_words) <- word;
-         incr n_words;
-         let bank = word mod 32 in
-         sl.sa_bank_count.(bank) <- sl.sa_bank_count.(bank) + 1
-       end)
-    addrs;
+  for j = 0 to n - 1 do
+    let word = addrs.(j) / 4 in
+    let seen = ref false in
+    for i = 0 to !n_words - 1 do
+      if sl.sa_words.(i) = word then seen := true
+    done;
+    if not !seen then begin
+      sl.sa_words.(!n_words) <- word;
+      incr n_words;
+      let bank = word mod 32 in
+      sl.sa_bank_count.(bank) <- sl.sa_bank_count.(bank) + 1
+    end
+  done;
   let conflict = ref 1 in
   for i = 0 to !n_words - 1 do
     let bank = sl.sa_words.(i) mod 32 in
@@ -224,14 +254,20 @@ let shared_access t ~sm ~stats addrs =
   { transactions = conflict;
     latency = cfg.Config.lat_shared * conflict }
 
-let atomic_access t ~sm ~stats pairs =
+let atomic_access t ~sm ~stats ~width addrs n =
   let cfg = t.cfg in
-  let base = global_access t ~sm ~stats pairs in
-  let unique_addrs =
-    List.sort_uniq Int.compare (List.map fst pairs) |> List.length
-  in
+  let base = global_access t ~sm ~stats ~width addrs n in
+  let unique_addrs = ref 0 in
+  for j = 0 to n - 1 do
+    let a = addrs.(j) in
+    let i = ref 0 in
+    while !i < j && addrs.(!i) <> a do
+      incr i
+    done;
+    if !i = j then incr unique_addrs
+  done;
   { transactions = base.transactions;
-    latency = base.latency + (cfg.Config.lat_atomic * unique_addrs) }
+    latency = base.latency + (cfg.Config.lat_atomic * !unique_addrs) }
 
 let l1_stats t ~sm = (Cache.hits t.l1s.(sm), Cache.misses t.l1s.(sm))
 

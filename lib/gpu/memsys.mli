@@ -27,13 +27,15 @@ val texture_window : int
 val coalesce : line_bytes:int -> (int * int) list -> int list
 (** [coalesce ~line_bytes addr_width_pairs] returns the sorted list of
     unique line addresses touched — the coalescer the paper's memory
-    divergence study measures. *)
+    divergence study measures, and the one {!global_access} runs. *)
 
 val global_access :
-  t -> sm:int -> stats:Stats.t -> (int * int) list -> result
-(** Coalesced access for one warp: list of (physical address, width in
-    bytes) pairs, one per active lane. Updates cache and transaction
-    statistics. *)
+  t -> sm:int -> stats:Stats.t -> width:int -> int array -> int -> result
+(** Coalesced access for one warp: [global_access t ~sm ~stats ~width
+    addrs n] covers the physical addresses [addrs.(0 .. n-1)] (one per
+    active lane, at most 32), each [width] bytes wide. Updates cache
+    and transaction statistics. Uses per-SM scratch (allocation-free
+    apart from the result, shard-safe). *)
 
 val contiguous_access :
   t -> sm:int -> stats:Stats.t -> first_phys:int -> last_phys:int ->
@@ -43,15 +45,16 @@ val contiguous_access :
     equivalent to {!global_access} over that range but without
     materializing per-lane pairs. *)
 
-val shared_access : t -> sm:int -> stats:Stats.t -> int list -> result
-(** Shared-memory access with 32-bank conflict modeling; the input is
-    the per-lane byte addresses. Identical addresses broadcast. Uses
-    per-SM scratch (allocation-free, shard-safe). *)
+val shared_access :
+  t -> sm:int -> stats:Stats.t -> int array -> int -> result
+(** Shared-memory access with 32-bank conflict modeling over the
+    per-lane byte addresses [addrs.(0 .. n-1)]. Identical addresses
+    broadcast. Uses per-SM scratch (allocation-free, shard-safe). *)
 
 val atomic_access :
-  t -> sm:int -> stats:Stats.t -> (int * int) list -> result
+  t -> sm:int -> stats:Stats.t -> width:int -> int array -> int -> result
 (** Atomics serialize per unique address on top of the transaction
-    cost. *)
+    cost of {!global_access} over the same addresses. *)
 
 val l1_stats : t -> sm:int -> int * int
 (** (hits, misses) of one SM's L1 since creation. *)

@@ -6,6 +6,7 @@ let make_block launch flat =
   let nwarps = (threads + warp_size - 1) / warp_size in
   let kernel = launch.l_kernel in
   let frame = kernel.Sass.Program.frame_bytes in
+  let stride = launch.l_code.Decoded.stride in
   let block =
     { b_x = flat mod gx;
       b_y = flat / gx;
@@ -22,8 +23,10 @@ let make_block launch flat =
     let w =
       { w_id = wid;
         w_block = block;
-        w_regs = Array.make (warp_size * 256) 0;
-        w_preds = Array.make (warp_size * 7) false;
+        w_regs = Array.make (warp_size * stride) 0;
+        w_preds =
+          Array.init 8 (fun p ->
+              if p = Sass.Pred.index Sass.Pred.PT then full_mask else 0);
         w_local =
           Memory.create ~space:Sass.Opcode.Local
             (max 4 (warp_size * frame));
@@ -40,7 +43,7 @@ let make_block launch flat =
     (* ABI: R1 is the stack pointer, initialized to the top of the
        thread's local frame. *)
     for lane = 0 to warp_size - 1 do
-      reg_set w ~lane Sass.Reg.sp frame
+      w.w_regs.((lane * stride) + Sass.Reg.index Sass.Reg.sp) <- frame
     done;
     w
   in
@@ -127,7 +130,8 @@ let run_sm_wave sm =
     let found = ref (-1) in
     let k = ref 0 in
     while !found < 0 && !k < n do
-      let idx = (sm.sm_rr + !k) mod n in
+      let idx = sm.sm_rr + !k in
+      let idx = if idx >= n then idx - n else idx in
       let w = sm.sm_warps.(idx) in
       if w.w_status = W_ready && w.w_ready_at <= sm.sm_cycle then found := idx;
       incr k
@@ -148,13 +152,14 @@ let run_sm_wave sm =
       telemetry_tick dev sm
     end
     else begin
-      (* Nobody ready: advance to the next wakeup. *)
+      (* Nobody ready: advance to the next wakeup. A plain loop: a
+         closure here would allocate on every idle cycle. *)
       let next = ref max_int in
-      Array.iter
-        (fun w ->
-           if w.w_status = W_ready && w.w_ready_at < !next then
-             next := w.w_ready_at)
-        sm.sm_warps;
+      for idx = 0 to n - 1 do
+        let w = sm.sm_warps.(idx) in
+        if w.w_status = W_ready && w.w_ready_at < !next then
+          next := w.w_ready_at
+      done;
       if !next = max_int then begin
         (* All remaining warps wait at a barrier that can never be
            released: a deadlock, reported as a hang. *)
@@ -189,7 +194,8 @@ let run_one_sm launch ~sm_id ~stats ~tracer ~telemetry ~sampler ~blocks_at_once
   let cfg = dev.d_cfg in
   let sm =
     { sm_id; sm_launch = launch; sm_cycle = 0; sm_issued = 0;
-      sm_warps = [||]; sm_rr = 0; sm_stats = stats; sm_tracer = tracer;
+      sm_warps = [||]; sm_rr = 0; sm_addrs = Array.make warp_size 0;
+      sm_stats = stats; sm_tracer = tracer;
       sm_telemetry = telemetry; sm_sampler = sampler }
   in
   (* Each SM starts with a full sampling period. (Also applied on the
@@ -261,166 +267,6 @@ let run_one_sm launch ~sm_id ~stats ~tracer ~telemetry ~sampler ~blocks_at_once
   waves my_blocks;
   stats.Stats.sm_active_cycles <- stats.Stats.sm_active_cycles + sm.sm_cycle;
   sm
-
-(* --- Sharding eligibility ------------------------------------------------ *)
-
-(* A launch may shard only when no instruction can observe another
-   SM's work mid-flight: cross-block atomics (ATOM/RED on the global
-   space) read-modify-write shared lines, and SASSI handlers (HCALL)
-   run host code with launch-wide state. Both force the sequential
-   path. The scan sees the post-transform kernel, so injected
-   instrumentation is caught too. *)
-(* Pointer-parameter origin analysis backing the eligibility scan: a
-   flow-sensitive forward dataflow mapping each GPR, at each program
-   point, to the bitset of kernel parameter slots its value may
-   derive from (bit [i] = 4-byte slot [i]; the top bit is an "unknown
-   base" token for addresses not traceable to any parameter). Joins
-   are pointwise unions over {!Sass.Cfg.instr_successors} edges, so
-   register reuse by the allocator (the same register holding an
-   input pointer in one range and the output pointer in another) does
-   not smear origins together. Values loaded from memory are treated
-   as data, not pointers: in this machine, pointers enter kernels
-   only through the constant bank, never through global/shared/local
-   memory, so the assumption is sound for every compilable kernel. *)
-
-let unknown_base_bit = 1 lsl 62
-
-let slot_bit byte_off =
-  let slot = byte_off / 4 in
-  if slot >= 0 && slot < 62 then 1 lsl slot else unknown_base_bit
-
-(* In-state per PC: reg index -> origin bitset. Worklist seeded with
-   every PC so unreachable code is analyzed too (its accesses then
-   count toward the load/store sets — the conservative direction). *)
-let param_origin_states (instrs : Sass.Instr.t array) =
-  let n = Array.length instrs in
-  let states = Array.init n (fun _ -> Array.make 256 0) in
-  let pending = Array.make n true in
-  let work = Queue.create () in
-  for pc = 0 to n - 1 do
-    Queue.add pc work
-  done;
-  while not (Queue.is_empty work) do
-    let pc = Queue.pop work in
-    pending.(pc) <- false;
-    let st = states.(pc) in
-    let i = instrs.(pc) in
-    let src_origin = function
-      | Sass.Instr.SReg r -> st.(Sass.Reg.index r)
-      | Sass.Instr.SParam off -> slot_bit off
-      | Sass.Instr.SImm _ | Sass.Instr.SPred _ -> 0
-    in
-    let incoming =
-      match Sass.Instr.mem_access i with
-      | Some m when m.Sass.Instr.m_is_load ->
-        (* LD Param propagates the parameter slot it names; loads
-           from data spaces produce data (origin 0). *)
-        (match m.Sass.Instr.m_space with
-         | Sass.Opcode.Param ->
-           (match (m.Sass.Instr.m_base, m.Sass.Instr.m_off) with
-            | Sass.Instr.SImm b, Sass.Instr.SImm o -> slot_bit (b + o)
-            | Sass.Instr.SParam off, Sass.Instr.SImm 0
-            | Sass.Instr.SImm 0, Sass.Instr.SParam off -> slot_bit off
-            | _ -> unknown_base_bit)
-         | _ -> 0)
-      | _ ->
-        (* Base pointers survive only the ops address arithmetic uses
-           on bases: add/sub, min/max clamps, bit masks, moves and
-           selects. Scaling ops (multiply, shift, divide) consume
-           offsets — an integer parameter like a row stride flows
-           into every address through them, and keeping its origin
-           would alias all loads with all stores. IMAD propagates
-           only the addend; its product term is a scaled offset. *)
-        let fold srcs =
-          List.fold_left (fun acc s -> acc lor src_origin s) 0 srcs
-        in
-        (match i.Sass.Instr.op with
-         | Sass.Opcode.IADD | Sass.Opcode.ISUB | Sass.Opcode.IMNMX _
-         | Sass.Opcode.LOP _ | Sass.Opcode.MOV | Sass.Opcode.SEL ->
-           fold i.Sass.Instr.srcs
-         | Sass.Opcode.IMAD ->
-           (match i.Sass.Instr.srcs with
-            | _ :: _ :: addend :: _ -> src_origin addend
-            | _ -> 0)
-         | _ -> 0)
-    in
-    let out = Array.copy st in
-    List.iter
-      (fun r ->
-        if not (Sass.Reg.is_zero r) then begin
-          let idx = Sass.Reg.index r in
-          (* A guarded write may not execute, so it only widens. *)
-          if Sass.Pred.is_always i.Sass.Instr.guard then out.(idx) <- incoming
-          else out.(idx) <- out.(idx) lor incoming
-        end)
-      (Sass.Instr.defs i);
-    List.iter
-      (fun succ ->
-        if succ >= 0 && succ < n then begin
-          let s = states.(succ) in
-          let changed = ref false in
-          Array.iteri
-            (fun k v ->
-              let joined = v lor out.(k) in
-              if joined <> v then begin
-                s.(k) <- joined;
-                changed := true
-              end)
-            s;
-          if !changed && not pending.(succ) then begin
-            pending.(succ) <- true;
-            Queue.add succ work
-          end
-        end)
-      (Sass.Cfg.instr_successors instrs pc)
-  done;
-  states
-
-(* A kernel can shard only when no global load can alias a global
-   store from another block. We approximate alias-freedom at the
-   parameter level: collect the origin sets of every global load and
-   store address and require them to be disjoint. This catches
-   plain-store cross-block read-after-write hazards (e.g. an in-place
-   update where one block reads a cell another block wrote) that the
-   ATOM/RED scan cannot see. Write-write overlap through one
-   parameter is not flagged — every kernel stores its outputs through
-   some pointer — so kernels where two *blocks* store different
-   values to the *same* address remain out of model, as they are for
-   real hardware. [CAL] forces a fallback because the CFG treats it
-   as straight-line, which would hide callee effects (the DSL never
-   emits it; only hand-built programs could). *)
-let shardable_kernel (k : Sass.Program.kernel) =
-  let no_traps =
-    Array.for_all
-      (fun (i : Sass.Instr.t) ->
-        match i.Sass.Instr.op with
-        | Sass.Opcode.ATOM (Sass.Opcode.Global, _, _)
-        | Sass.Opcode.RED (Sass.Opcode.Global, _, _)
-        | Sass.Opcode.HCALL _ | Sass.Opcode.CAL -> false
-        | _ -> true)
-      k.Sass.Program.instrs
-  in
-  no_traps
-  &&
-  let states = param_origin_states k.Sass.Program.instrs in
-  let load_set = ref 0 and store_set = ref 0 in
-  Array.iteri
-    (fun pc (i : Sass.Instr.t) ->
-      match Sass.Instr.mem_access i with
-      | Some m when m.Sass.Instr.m_space = Sass.Opcode.Global ->
-        let st = states.(pc) in
-        let of_src = function
-          | Sass.Instr.SReg r -> st.(Sass.Reg.index r)
-          | Sass.Instr.SParam off -> slot_bit off
-          | Sass.Instr.SImm _ | Sass.Instr.SPred _ -> 0
-        in
-        let o = of_src m.Sass.Instr.m_base lor of_src m.Sass.Instr.m_off in
-        let o = if o = 0 then unknown_base_bit else o in
-        if m.Sass.Instr.m_is_load then load_set := !load_set lor o;
-        if m.Sass.Instr.m_is_store then store_set := !store_set lor o
-      | _ -> ())
-    k.Sass.Program.instrs;
-  !load_set land !store_set = 0
 
 (* --- Per-SM observation contexts (sharded mode) -------------------------- *)
 
@@ -597,11 +443,12 @@ let run launch =
   let blocks_at_once =
     max 1 (cfg.Config.max_warps_per_sm / max 1 warps_per_block)
   in
-  (* Eligibility is a property of the (post-transform) kernel, not of
-     the domain setting: count fallbacks on every launch so the
+  (* Eligibility is a property of the (post-transform) kernel, decided
+     once when it is decoded, not of the domain setting: count
+     fallbacks on every launch so the
      counter — exported through telemetry — is byte-identical across
      [--device-domains] values. *)
-  let eligible = shardable_kernel launch.l_kernel in
+  let eligible = launch.l_code.Decoded.shardable in
   if not eligible then
     dev.d_sharding_fallbacks <- dev.d_sharding_fallbacks + 1;
   if dev.d_domains > 1 && eligible && cfg.Config.num_sms > 1 then

@@ -13,7 +13,7 @@ type warp = {
   w_id : int;
   w_block : block;
   w_regs : int array;
-  w_preds : bool array;
+  w_preds : int array;
   w_local : Memory.t;
   mutable w_stack : stack_entry list;
   mutable w_call_stack : int list;
@@ -41,6 +41,7 @@ and sm = {
   mutable sm_issued : int;
   mutable sm_warps : warp array;
   mutable sm_rr : int;
+  sm_addrs : int array;
   (* Per-SM observation context. In sequential mode these alias the
      launch/device-level objects; under device sharding each SM gets
      private instances, merged back in [sm_id] order at launch end so
@@ -57,6 +58,7 @@ and sm = {
 and launch = {
   l_device : device;
   l_kernel : Sass.Program.kernel;
+  l_code : Decoded.t;
   l_grid_x : int;
   l_grid_y : int;
   l_block_x : int;
@@ -75,6 +77,7 @@ and device = {
   mutable d_transform : transform option;
   mutable d_transform_gen : int;
   d_kernel_cache : (string * int, Sass.Program.kernel) Hashtbl.t;
+  d_decoded : (string, Decoded.t) Hashtbl.t;
   mutable d_launch_cbs : (int * (launch -> unit)) list;
   mutable d_exit_cbs : (int * (launch -> unit)) list;
   mutable d_cb_next : int;
@@ -141,29 +144,35 @@ let warp_size = 32
 
 let full_mask = 0xFFFFFFFF
 
+(* Register slots of one lane are [Decoded.stride] apart; only the
+   [nregs] registers the kernel names are addressable, so an index
+   past them raises instead of reaching the next lane. *)
+let reg_slot w ~lane i =
+  let code = w.w_block.b_launch.l_code in
+  if i >= code.Decoded.nregs then
+    invalid_arg
+      (Printf.sprintf "State: R%d is not a register of kernel %s" i
+         code.Decoded.kernel.Sass.Program.name);
+  (lane * code.Decoded.stride) + i
+
 let reg_get w ~lane r =
   match r with
   | Sass.Reg.RZ -> 0
-  | Sass.Reg.R i -> w.w_regs.((lane lsl 8) + i)
+  | Sass.Reg.R i -> w.w_regs.(reg_slot w ~lane i)
 
 let reg_set w ~lane r v =
   match r with
   | Sass.Reg.RZ -> ()
-  | Sass.Reg.R i -> w.w_regs.((lane lsl 8) + i) <- v land Value.mask
+  | Sass.Reg.R i -> w.w_regs.(reg_slot w ~lane i) <- v land Value.mask
 
-let pred_get w ~lane p =
-  match p with
-  | Sass.Pred.PT -> true
-  | Sass.Pred.P i -> w.w_preds.((lane * 7) + i)
+let pred_get w ~lane p = (w.w_preds.(Sass.Pred.index p) lsr lane) land 1 = 1
 
 let pred_set w ~lane p v =
   match p with
   | Sass.Pred.PT -> ()
-  | Sass.Pred.P i -> w.w_preds.((lane * 7) + i) <- v
-
-let guard_passes w ~lane (g : Sass.Pred.guard) =
-  let v = pred_get w ~lane g.Sass.Pred.pred in
-  if g.Sass.Pred.negated then not v else v
+  | Sass.Pred.P i ->
+    let m = w.w_preds.(i) in
+    w.w_preds.(i) <- (if v then m lor (1 lsl lane) else m land lnot (1 lsl lane))
 
 let tos w =
   match w.w_stack with

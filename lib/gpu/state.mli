@@ -20,8 +20,12 @@ type stack_entry = {
 type warp = {
   w_id : int;  (** warp index within its block *)
   w_block : block;
-  w_regs : int array;  (** 32 lanes x 256 registers *)
-  w_preds : bool array;  (** 32 lanes x 7 predicates *)
+  w_regs : int array;
+      (** 32 lanes x [Decoded.stride] slots: the kernel's named
+          registers, then one write sink that absorbs [RZ] writes *)
+  w_preds : int array;
+      (** one lane mask per predicate index: [P0..P6], then [PT]
+          (every lane, never written) *)
   w_local : Memory.t;  (** per-thread stack frames, lane-contiguous *)
   mutable w_stack : stack_entry list;  (** head = top of stack *)
   mutable w_call_stack : int list;  (** warp-uniform return PCs *)
@@ -53,6 +57,10 @@ and sm = {
   mutable sm_issued : int;
   mutable sm_warps : warp array;  (** resident warps *)
   mutable sm_rr : int;  (** round-robin scheduling pointer *)
+  sm_addrs : int array;
+      (** per-lane scratch of the interpreter: the effective
+          addresses of one memory instruction, packed in lane order,
+          or the source values of a shuffle, indexed by lane *)
   sm_stats : Stats.t;
       (** the SM's statistics accumulator. Sequential mode: aliases
           [l_stats]. Sharded mode: private, reduced into [l_stats]
@@ -72,7 +80,8 @@ and sm = {
 
 and launch = {
   l_device : device;
-  l_kernel : Sass.Program.kernel;
+  l_kernel : Sass.Program.kernel;  (** post-transform *)
+  l_code : Decoded.t;  (** [l_kernel], decoded *)
   l_grid_x : int;
   l_grid_y : int;
   l_block_x : int;
@@ -91,6 +100,9 @@ and device = {
   mutable d_transform : transform option;
   mutable d_transform_gen : int;
   d_kernel_cache : (string * int, Sass.Program.kernel) Hashtbl.t;
+  d_decoded : (string, Decoded.t) Hashtbl.t;
+      (** decoded post-transform kernels by name; an entry is used only
+          while its [Decoded.kernel] is physically the launched one *)
   mutable d_launch_cbs : (int * (launch -> unit)) list;
   mutable d_exit_cbs : (int * (launch -> unit)) list;
   mutable d_cb_next : int;
@@ -192,14 +204,15 @@ val full_mask : int
 (** {1 Register file access} *)
 
 val reg_get : warp -> lane:int -> Sass.Reg.t -> int
+(** @raise Invalid_argument for a register the launched kernel does
+    not name (index at or past [Decoded.nregs]). *)
 
 val reg_set : warp -> lane:int -> Sass.Reg.t -> int -> unit
+(** As {!reg_get}; the value is truncated to 32 bits. *)
 
 val pred_get : warp -> lane:int -> Sass.Pred.t -> bool
 
 val pred_set : warp -> lane:int -> Sass.Pred.t -> bool -> unit
-
-val guard_passes : warp -> lane:int -> Sass.Pred.guard -> bool
 
 (** {1 Divergence stack} *)
 

@@ -201,16 +201,36 @@ let merge ~into t =
       set into (if String.equal name "cycles" then max cur v else cur + v))
     pairs
 
-let count_instr t op ~active_lanes =
+let cls_mem = 1
+let cls_ctrl = 2
+let cls_sync = 4
+let cls_numeric = 8
+let cls_texture = 16
+let cls_spill = 32
+
+let classify op =
   let open Sass.Opcode in
+  let bit b c = if b then c else 0 in
+  bit (is_mem op) cls_mem
+  lor bit (is_control op) cls_ctrl
+  lor bit (is_sync op) cls_sync
+  lor bit (is_numeric op) cls_numeric
+  lor bit (is_texture op) cls_texture
+  lor bit (is_spill_or_fill op) cls_spill
+
+let count t ~cls ~active_lanes =
   t.warp_instrs <- t.warp_instrs + 1;
   t.thread_instrs <- t.thread_instrs + active_lanes;
-  if is_mem op then t.mem_instrs <- t.mem_instrs + 1;
-  if is_control op then t.ctrl_instrs <- t.ctrl_instrs + 1;
-  if is_sync op then t.sync_instrs <- t.sync_instrs + 1;
-  if is_numeric op then t.numeric_instrs <- t.numeric_instrs + 1;
-  if is_texture op then t.texture_instrs <- t.texture_instrs + 1;
-  if is_spill_or_fill op then t.spill_instrs <- t.spill_instrs + 1
+  if cls <> 0 then begin
+    if cls land cls_mem <> 0 then t.mem_instrs <- t.mem_instrs + 1;
+    if cls land cls_ctrl <> 0 then t.ctrl_instrs <- t.ctrl_instrs + 1;
+    if cls land cls_sync <> 0 then t.sync_instrs <- t.sync_instrs + 1;
+    if cls land cls_numeric <> 0 then
+      t.numeric_instrs <- t.numeric_instrs + 1;
+    if cls land cls_texture <> 0 then
+      t.texture_instrs <- t.texture_instrs + 1;
+    if cls land cls_spill <> 0 then t.spill_instrs <- t.spill_instrs + 1
+  end
 
 let pp ppf t =
   Format.pp_print_list

@@ -62,7 +62,13 @@ val merge : into:t -> t -> unit
     present in the record but missing from either list raises
     [Invalid_argument] instead of being silently dropped. *)
 
-val count_instr : t -> Sass.Opcode.t -> active_lanes:int -> unit
-(** Classify and count one issued warp instruction. *)
+val classify : Sass.Opcode.t -> int
+(** The opcode's instruction classes (memory, control, sync, numeric,
+    texture, spill) as a bit set, computed once per decoded
+    instruction. *)
+
+val count : t -> cls:int -> active_lanes:int -> unit
+(** Count one issued warp instruction of the classes [cls] (from
+    {!classify}). *)
 
 val pp : Format.formatter -> t -> unit

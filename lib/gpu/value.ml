@@ -66,9 +66,14 @@ let brev a =
   done;
   !r
 
+(* SWAR bit count: constant time, which matters because the
+   interpreter counts the active lanes of every instruction. *)
 let popc a =
-  let rec go a n = if a = 0 then n else go (a land (a - 1)) (n + 1) in
-  go (wrap a) 0
+  let a = wrap a in
+  let a = a - ((a lsr 1) land 0x55555555) in
+  let a = (a land 0x33333333) + ((a lsr 2) land 0x33333333) in
+  let a = (a + (a lsr 4)) land 0x0F0F0F0F in
+  ((a * 0x01010101) lsr 24) land 0xFF
 
 let flo a =
   let a = wrap a in
@@ -85,11 +90,8 @@ let ffs a =
     go 0
 
 let compare_int ~cmp ~sign a b =
-  let a, b =
-    match sign with
-    | Opcode.Signed -> (signed a, signed b)
-    | Opcode.Unsigned -> (a, b)
-  in
+  let a = match sign with Opcode.Signed -> signed a | Opcode.Unsigned -> a in
+  let b = match sign with Opcode.Signed -> signed b | Opcode.Unsigned -> b in
   match cmp with
   | Opcode.Lt -> a < b
   | Opcode.Le -> a <= b
@@ -98,11 +100,14 @@ let compare_int ~cmp ~sign a b =
   | Opcode.Eq -> a = b
   | Opcode.Ne -> a <> b
 
-let f32_of_bits bits = Int32.float_of_bits (Int32.of_int (signed bits))
+(* Inlined so that the float stays unboxed in every caller: a boxed
+   return would allocate on each float operation of the interpreter.
+   [Int32.of_int] keeps the low 32 bits, which is the pattern. *)
+let[@inline] f32_of_bits bits = Int32.float_of_bits (Int32.of_int bits)
 
-let bits_of_f32 f = Int32.to_int (Int32.bits_of_float f) land mask
+let[@inline] bits_of_f32 f = Int32.to_int (Int32.bits_of_float f) land mask
 
-let round32 f = f32_of_bits (bits_of_f32 f)
+let[@inline] round32 f = f32_of_bits (bits_of_f32 f)
 
 let fadd a b = bits_of_f32 (f32_of_bits a +. f32_of_bits b)
 

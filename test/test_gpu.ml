@@ -634,11 +634,148 @@ let test_tld_clamping () =
   check Alcotest.int "in range" 101 result.(5);
   check Alcotest.int "clamped high" 107 result.(20)
 
+(* --- Decoded dispatch: address aliasing, register stride ------------- *)
+
+(* [LD R2, [R2]] with a 128-byte lane stride: every lane touches its
+   own 32-byte line and 128-byte-apart shared words share bank 0. The
+   loaded data (zeros) must not stand in for the addresses in the
+   coalescer or the bank model. *)
+let test_ld_dst_aliases_base () =
+  let dev = device () in
+  let buf = Gpu.Device.malloc dev (128 * 32) in
+  let aliased space =
+    kernel ~shared:(128 * 32)
+      (match space with Opcode.Global -> "alias_g" | _ -> "alias_s")
+      [ i (Opcode.S2R Opcode.Sr_tid_x) ~dsts:[ r 0 ];
+        i Opcode.SHL ~dsts:[ r 2 ] ~srcs:[ sreg 0; imm 7 ];
+        i Opcode.IADD ~dsts:[ r 2 ]
+          ~srcs:
+            [ sreg 2;
+              (match space with Opcode.Global -> param 0 | _ -> imm 0) ];
+        i (Opcode.LD (space, Opcode.W32)) ~dsts:[ r 2 ] ~srcs:[ sreg 2; imm 0 ];
+        i Opcode.EXIT ]
+  in
+  let launch k =
+    Gpu.Device.launch dev ~kernel:k ~grid:(1, 1) ~block:(32, 1)
+      ~args:[ Gpu.Device.Ptr buf ]
+  in
+  let g = launch (aliased Opcode.Global) in
+  check Alcotest.int "one line per lane" 32 g.Gpu.Stats.gld_transactions;
+  let s = launch (aliased Opcode.Shared) in
+  check Alcotest.int "32-way bank conflict" 31 s.Gpu.Stats.shared_conflicts
+
+(* Register files are sized from the kernel: handlers can reach the
+   registers it names and nothing past them. *)
+let test_register_stride () =
+  let dev = device () in
+  let k =
+    kernel "regs"
+      [ i Opcode.MOV ~dsts:[ r 3 ] ~srcs:[ imm 7 ];
+        i (Opcode.HCALL 0);
+        i Opcode.EXIT ]
+  in
+  let seen = ref [] in
+  Gpu.Device.set_hcall dev
+    (Some
+       (fun ctx ->
+         let w = ctx.Gpu.State.h_warp in
+         seen := Gpu.State.reg_get w ~lane:31 (r 3) :: !seen;
+         match Gpu.State.reg_get w ~lane:0 (r 4) with
+         | _ -> Alcotest.fail "R4 is not a register of the kernel"
+         | exception Invalid_argument _ -> ()));
+  ignore
+    (Gpu.Device.launch dev ~kernel:k ~grid:(1, 1) ~block:(32, 1) ~args:[]);
+  check (Alcotest.list Alcotest.int) "R3 of lane 31" [ 7 ] !seen
+
+(* --- Paged global memory --------------------------------------------- *)
+
+let test_paged_untouched_zero () =
+  let size = 64 * 1024 * 1024 in
+  let m = Gpu.Memory.create ~space:Opcode.Global size in
+  List.iter
+    (fun a ->
+      check Alcotest.int "untouched reads zero" 0
+        (Gpu.Memory.read m ~width:Opcode.W32 a))
+    [ 0; Gpu.Memory.page_size - 2; size / 2; size - 4 ];
+  check Alcotest.int "untouched u64" 0 (Gpu.Memory.read_u64 m (size - 8));
+  Gpu.Memory.write m ~width:Opcode.W32 (size - 4) 0xDEADBEEF;
+  check Alcotest.int "last word" 0xDEADBEEF
+    (Gpu.Memory.read m ~width:Opcode.W32 (size - 4));
+  check Alcotest.int "neighbour page still zero" 0
+    (Gpu.Memory.read m ~width:Opcode.W32 (size - 4 - Gpu.Memory.page_size))
+
+let test_paged_cross_boundary () =
+  let page = Gpu.Memory.page_size in
+  let m = Gpu.Memory.create ~space:Opcode.Global (4 * page) in
+  let src = Bytes.init 10 (fun k -> Char.chr (0x10 + k)) in
+  Gpu.Memory.blit_from_bytes m ~dst:(page - 3) src;
+  let back = Bytes.create 10 in
+  Gpu.Memory.blit_to_bytes m ~src:(page - 3) back;
+  check Alcotest.string "blit round trip" (Bytes.to_string src)
+    (Bytes.to_string back);
+  check Alcotest.int "straddling w32" 0x13121110
+    (Gpu.Memory.read m ~width:Opcode.W32 (page - 3));
+  Gpu.Memory.write_u64 m ((2 * page) - 4) 0x0102030405060708;
+  check Alcotest.int "straddling u64" 0x0102030405060708
+    (Gpu.Memory.read_u64 m ((2 * page) - 4));
+  Gpu.Memory.fill m ~pos:(page - 2) ~len:4 '\255';
+  check Alcotest.int "straddling fill" 0xFFFFFF10
+    (Gpu.Memory.read m ~width:Opcode.W32 (page - 3));
+  check Alcotest.int "fill end" 0x171615FF
+    (Gpu.Memory.read m ~width:Opcode.W32 (page + 1))
+
+let test_paged_bounds () =
+  let size = 64 * 1024 * 1024 in
+  let m = Gpu.Memory.create ~space:Opcode.Global size in
+  let faults_at expect f =
+    match f () with
+    | _ -> Alcotest.fail "expected fault"
+    | exception Gpu.Trap.Memory_fault { addr; space; kind } ->
+      check Alcotest.int "fault address" expect addr;
+      check Alcotest.bool "global out of bounds" true
+        (space = Opcode.Global && kind = Gpu.Trap.Out_of_bounds)
+  in
+  faults_at (size - 2) (fun () -> Gpu.Memory.read m ~width:Opcode.W32 (size - 2));
+  faults_at size (fun () -> Gpu.Memory.write m ~width:Opcode.W8 size 1);
+  faults_at (-1) (fun () -> Gpu.Memory.read m ~width:Opcode.W8 (-1));
+  faults_at (size - 4) (fun () ->
+      Gpu.Memory.blit_from_bytes m ~dst:(size - 4) (Bytes.make 8 'x'));
+  faults_at (size - 1) (fun () ->
+      Gpu.Memory.fill m ~pos:(size - 1) ~len:2 'x')
+
+(* --- Allocation ratchet ---------------------------------------------- *)
+
+(* In-launch minor-heap words per simulated warp-instruction, at one
+   domain (the count is then deterministic). The interpreter's hot
+   path allocates nothing per instruction; what remains is per-warp
+   and per-launch set-up. *)
+let minor_words_per_winstr w variant =
+  let dev = Gpu.Device.create ~cfg:Gpu.Config.default ~domains:1 () in
+  let started = ref 0. and words = ref 0. in
+  ignore (Gpu.Device.on_launch dev (fun _ -> started := Gc.minor_words ()));
+  ignore
+    (Gpu.Device.on_exit dev (fun _ ->
+         words := !words +. (Gc.minor_words () -. !started)));
+  let r = w.Workloads.Workload.run dev ~variant in
+  !words /. float_of_int r.Workloads.Workload.stats.Gpu.Stats.warp_instrs
+
+let test_alloc_ratchet () =
+  List.iter
+    (fun (name, w, variant) ->
+      let per = minor_words_per_winstr w variant in
+      if per > 10. then
+        Alcotest.failf "%s: %.2f minor words per warp-instruction (max 10)"
+          name per)
+    [ ("parboil/sgemm medium", Workloads.Wl_sgemm.workload, "medium");
+      ("parboil/spmv large", Workloads.Wl_spmv.workload, "large") ]
+
 let extra_suite =
   ("gpu.isa-extra",
    [ Alcotest.test_case "CAL/RET" `Quick test_cal_ret;
      Alcotest.test_case "VOTE any/all pdst" `Quick test_vote_any_all_pdst;
-     Alcotest.test_case "TLD clamping" `Quick test_tld_clamping ])
+     Alcotest.test_case "TLD clamping" `Quick test_tld_clamping;
+     Alcotest.test_case "LD dst aliases base" `Quick test_ld_dst_aliases_base;
+     Alcotest.test_case "register stride" `Quick test_register_stride ])
 
 let suite =
   let qt = QCheck_alcotest.to_alcotest in
@@ -653,7 +790,13 @@ let suite =
      [ Alcotest.test_case "bounds" `Quick test_memory_bounds;
        Alcotest.test_case "widths" `Quick test_memory_widths;
        Alcotest.test_case "cache lru" `Quick test_cache_lru;
-       Alcotest.test_case "coalesce fn" `Quick test_coalesce_function ]);
+       Alcotest.test_case "coalesce fn" `Quick test_coalesce_function;
+       Alcotest.test_case "paged untouched zero" `Quick
+         test_paged_untouched_zero;
+       Alcotest.test_case "paged cross boundary" `Quick
+         test_paged_cross_boundary;
+       Alcotest.test_case "paged bounds" `Quick test_paged_bounds;
+       Alcotest.test_case "allocation ratchet" `Quick test_alloc_ratchet ]);
     ("gpu.exec",
      [ Alcotest.test_case "vadd" `Quick test_vadd;
        Alcotest.test_case "divergence" `Quick test_divergence_reconvergence;
